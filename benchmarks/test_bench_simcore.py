@@ -1,24 +1,23 @@
-"""Simulator-core throughput: the three backends against each other.
+"""Simulator-core throughput: the two backends against each other.
 
-Times the three ``test_bench_simulator.py`` kernel shapes through all
-three cycle-loop implementations — the frozen seed scan
-(``repro.sim.sm_reference``), the wake-queue event loop
-(``repro.sim.sm``) and the per-program specialized driver
-(``repro.sim.specialize``) — and records the measurement as one entry
-of the ``BENCH_SIMCORE.json`` *trajectory* (the ISSUE-5/ISSUE-7
-acceptance artifact).
+Times the three ``test_bench_simulator.py`` kernel shapes through both
+cycle-loop implementations — the frozen seed scan
+(``repro.sim.sm_reference``) and the per-program compiled driver behind
+``repro.sim.sm.SMSimulator`` (``repro.sim.specialize``) — and records
+the measurement as one entry of the ``BENCH_SIMCORE.json``
+*trajectory*.
 
 The trajectory format keeps history instead of overwriting it: the
-first entry is the preserved ISSUE-5 snapshot (event loop vs seed
-scan, pre-specializer), later entries are appended per run, newest
-last, with the middle truncated so the file stays small.  Each entry
-carries per-backend seconds, cycles/sec, speedup over the reference
-scan, and the bit-identity verdict re-asserted on every repetition.
+first entry is a preserved snapshot of the retired event loop against
+the seed scan, later entries are appended per run, newest last, with
+the middle truncated so the file stays small.  Each entry carries
+per-backend seconds, cycles/sec, speedup over the reference scan, and
+the bit-identity verdict re-asserted on every repetition.
 
 The timing protocol is deliberately conservative: the loops run
-interleaved (same cache/thermal conditions), each triple is repeated
+interleaved (same cache/thermal conditions), each pair is repeated
 and the best ``time.process_time`` taken, and every repetition
-re-asserts that all backends produced bit-identical counters.
+re-asserts that both backends produced bit-identical counters.
 
 Run directly::
 
@@ -39,7 +38,7 @@ from repro.isa import LaunchConfig
 from repro.sim import SimConfig
 from repro.sim.sm import SMSimulator
 from repro.sim.sm_reference import ReferenceSMSimulator
-from repro.sim.specialize import SpecializedSMSimulator, check_supported
+from repro.sim.specialize import check_supported
 
 GPU = "rtx4000"
 LAUNCH = LaunchConfig(blocks=288, threads_per_block=128)
@@ -47,14 +46,11 @@ SEED = 1
 ROUNDS = {"memory_bound": 6, "compute_bound": 3, "irregular": 4}
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_SIMCORE.json"
 
-#: acceptance floors: the ISSUE-5 event-loop bars still hold, and the
-#: specialized driver (ISSUE 7) must clear ≥10x over the seed scan on
-#: every kernel shape, bit-identical.
-MEMORY_BOUND_MIN_SPEEDUP = 3.0
-COMPUTE_BOUND_MIN_SPEEDUP = 0.95
+#: acceptance floor: the compiled driver must clear ≥10x over the seed
+#: scan on every kernel shape, bit-identical.
 SPECIALIZED_MIN_SPEEDUP = 10.0
 
-#: trajectory length cap: first (preserved ISSUE-5 snapshot) + most
+#: trajectory length cap: first (preserved event-loop snapshot) + most
 #: recent entries; the middle is dropped.
 MAX_TRAJECTORY = 8
 
@@ -64,28 +60,20 @@ def _best_of(kind: str) -> dict:
     program = _kernel(kind)
     config = SimConfig(seed=SEED)
     assert check_supported(program, spec, config) is None
-    best = {"reference": float("inf"), "event": float("inf"),
-            "specialized": float("inf")}
+    best = {"reference": float("inf"), "specialized": float("inf")}
     cycles = 0
     identical = True
     for _ in range(ROUNDS[kind]):
         t0 = time.process_time()
         ref = ReferenceSMSimulator(spec, program, LAUNCH, config).run()
         t1 = time.process_time()
-        event = SMSimulator(spec, program, LAUNCH, config).run()
+        spz = SMSimulator(spec, program, LAUNCH, config).run()
         t2 = time.process_time()
-        spz = SpecializedSMSimulator(
-            spec, program, LAUNCH, config
-        ).run()
-        t3 = time.process_time()
         best["reference"] = min(best["reference"], t1 - t0)
-        best["event"] = min(best["event"], t2 - t1)
-        best["specialized"] = min(best["specialized"], t3 - t2)
+        best["specialized"] = min(best["specialized"], t2 - t1)
         cycles = ref.cycles_elapsed
-        ref_doc = counters_to_doc(ref)
         identical = identical and (
-            counters_to_doc(event) == ref_doc
-            and counters_to_doc(spz) == ref_doc
+            counters_to_doc(spz) == counters_to_doc(ref)
         )
     entry = {"simulated_cycles": cycles, "bit_identical": identical,
              "backends": {}}
@@ -107,7 +95,7 @@ def _load_trajectory() -> list:
         return []
     if "trajectory" in old:
         return list(old["trajectory"])
-    # legacy ISSUE-5 snapshot: event loop vs reference scan.
+    # legacy single snapshot: event loop vs reference scan.
     return [{"entry": "ISSUE-5 event loop (preserved snapshot)",
              "bench": old.get("bench"),
              "workload": old.get("workload"),
@@ -140,18 +128,10 @@ def test_bench_simcore_backend_speedups():
 
     for kind, r in results.items():
         assert r["bit_identical"], (
-            f"{kind}: a backend diverged from the reference scan"
+            f"{kind}: the driver diverged from the reference scan"
         )
         spx = r["backends"]["specialized"]["speedup_x"]
         assert spx >= SPECIALIZED_MIN_SPEEDUP, (
             f"{kind}: specialized driver {spx}x below "
             f"{SPECIALIZED_MIN_SPEEDUP}x: {r}"
         )
-    ev = {k: r["backends"]["event"]["speedup_x"]
-          for k, r in results.items()}
-    assert ev["memory_bound"] >= MEMORY_BOUND_MIN_SPEEDUP, (
-        f"memory_bound event loop below {MEMORY_BOUND_MIN_SPEEDUP}x: {ev}"
-    )
-    assert ev["compute_bound"] >= COMPUTE_BOUND_MIN_SPEEDUP, (
-        f"compute_bound event loop slowed down >5%: {ev}"
-    )

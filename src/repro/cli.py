@@ -735,7 +735,7 @@ def _engine_parent() -> argparse.ArgumentParser:
 
     group.add_argument("--backend", default=None, choices=list(BACKENDS),
                        help="SM cycle-loop implementation (default: "
-                            f"{DEFAULT_BACKEND}; all backends produce "
+                            f"{DEFAULT_BACKEND}; both backends produce "
                             "bit-identical counters, see "
                             "docs/SIMULATOR.md)")
     group.add_argument("--timings", action="store_true",

@@ -246,12 +246,15 @@ def combine_results(
     total_w = float(sum(weights))
     if total_w <= 0:
         raise AnalysisError("weights sum to zero")
-    nodes: set[Node] = set()
+    present: set[Node] = set()
     for r in results:
-        nodes.update(r.values)
+        present.update(r.values)
+    # declaration order, not set order: Node hashes vary with
+    # PYTHONHASHSEED, and serializers emit ``values`` in dict order.
     values = {
         node: sum(r.ipc(node) * w for r, w in zip(results, weights)) / total_w
-        for node in nodes
+        for node in Node
+        if node in present
     }
     combined = TopDownResult(
         name=name, device=device, ipc_max=ipc_max, values=values,

@@ -2,13 +2,15 @@
 
 The simulator gives the sanitizer something standalone static tools
 never have: cheap ground truth.  :class:`SanitizingSimulator` replays a
-kernel through the ordinary event loop while *observing* the
-shared-memory and barrier paths — like the tracing shim in
-:mod:`repro.sim.trace` it wraps ``_attempt_issue`` (and
-``_release_barrier``) without touching any simulator state, so the
-produced :class:`~repro.sim.counters.EventCounters` are bit-identical
-to an uninstrumented run (a property the test-suite pins against the
-golden fixture).
+kernel through the reference scan
+(:class:`~repro.sim.sm_reference.ReferenceSMSimulator`, which issues
+one instruction at a time) while *observing* the shared-memory and
+barrier paths — like the tracing shim in :mod:`repro.sim.trace` it
+wraps ``_attempt_issue`` (and ``_release_barrier``) without touching
+any simulator state, so the produced
+:class:`~repro.sim.counters.EventCounters` are bit-identical to an
+uninstrumented run (a property the test-suite pins against the golden
+fixture).
 
 Observation model
 -----------------
@@ -39,8 +41,9 @@ from repro.arch.spec import GPUSpec
 from repro.isa.opcodes import Opcode
 from repro.isa.program import KernelProgram, LaunchConfig
 from repro.sanitize.passes import RaceCandidate
+from repro.sim.address_gen import build_generators
 from repro.sim.config import SimConfig
-from repro.sim.sm import SMSimulator
+from repro.sim.sm_reference import ReferenceSMSimulator
 
 CONFIRMED = "CONFIRMED"
 NOT_OBSERVED = "NOT-OBSERVED"
@@ -72,8 +75,8 @@ class Verdict:
         return f"{self.status} ({self.detail})" if self.detail else self.status
 
 
-class SanitizingSimulator(SMSimulator):
-    """Event-loop simulator that observes shared/barrier traffic.
+class SanitizingSimulator(ReferenceSMSimulator):
+    """Reference-scan simulator that observes shared/barrier traffic.
 
     Pure observer: records are appended from wrapped hooks *after* the
     base implementation ran; no simulator state is read-modified.
@@ -94,6 +97,13 @@ class SanitizingSimulator(SMSimulator):
         self._sector_lists: dict[int, frozenset[int]] = {}
         self.divergent_bar_pcs: set[int] = set()
         self.records_dropped = 0
+        # sector shapes of watched accesses, recomputed through the
+        # span-aware generators (pure functions of their arguments).
+        generators = build_generators(program.pattern_table, config.seed)
+        self._gen_by_pc = [
+            generators[inst.mem.pattern] if inst.mem is not None else None
+            for inst in program.body
+        ]
 
     # -- hooks ----------------------------------------------------------
     def _attempt_issue(self, warp, inst, cycle):

@@ -87,45 +87,50 @@ def run_serve(args) -> int:
         backend=args.backend,
         cache=None if args.no_cache else manager.store,
     ):
-        server = ServiceHTTPServer((args.host, args.port), manager)
-        host, port = server.server_address[:2]
-        if args.port_file:
-            atomic_write_text(Path(args.port_file), f"{port}\n")
-        manager.start()
-        serving = threading.Thread(
-            target=server.serve_forever,
-            name="service-http",
-            daemon=True,
-        )
-        serving.start()
-        print(
-            f"serving on http://{host}:{port} "
-            f"(state: {manager.state_dir}, workers: "
-            f"{manager.config.workers}, recovered: "
-            f"{manager.recovered_incomplete} requeued / "
-            f"{manager.recovered_complete} served)",
-            file=sys.stderr,
-        )
+        # the drain handler goes in before the port is published or
+        # served: a supervisor may send SIGTERM the moment it sees
+        # either, and the default action would kill without draining.
         drain_requested = threading.Event()
         previous = signal.signal(
             signal.SIGTERM, lambda *_: drain_requested.set()
         )
         try:
-            if args.selfcheck:
-                code = _selfcheck(host, port, args)
-                clean = manager.drain(timeout_s=60.0)
-                return code if code else (
-                    EXIT_CLEAN if clean else EXIT_DEGRADED
-                )
-            while not drain_requested.is_set():
-                drain_requested.wait(timeout=0.2)
-            print("SIGTERM: draining...", file=sys.stderr)
-            clean = manager.drain(timeout_s=args.drain_timeout)
-            return EXIT_CLEAN if clean else EXIT_DEGRADED
+            server = ServiceHTTPServer((args.host, args.port), manager)
+            host, port = server.server_address[:2]
+            if args.port_file:
+                atomic_write_text(Path(args.port_file), f"{port}\n")
+            manager.start()
+            serving = threading.Thread(
+                target=server.serve_forever,
+                name="service-http",
+                daemon=True,
+            )
+            serving.start()
+            print(
+                f"serving on http://{host}:{port} "
+                f"(state: {manager.state_dir}, workers: "
+                f"{manager.config.workers}, recovered: "
+                f"{manager.recovered_incomplete} requeued / "
+                f"{manager.recovered_complete} served)",
+                file=sys.stderr,
+            )
+            try:
+                if args.selfcheck:
+                    code = _selfcheck(host, port, args)
+                    clean = manager.drain(timeout_s=60.0)
+                    return code if code else (
+                        EXIT_CLEAN if clean else EXIT_DEGRADED
+                    )
+                while not drain_requested.is_set():
+                    drain_requested.wait(timeout=0.2)
+                print("SIGTERM: draining...", file=sys.stderr)
+                clean = manager.drain(timeout_s=args.drain_timeout)
+                return EXIT_CLEAN if clean else EXIT_DEGRADED
+            finally:
+                server.shutdown()
+                server.server_close()
         finally:
             signal.signal(signal.SIGTERM, previous)
-            server.shutdown()
-            server.server_close()
 
 
 # -- selfcheck ------------------------------------------------------------

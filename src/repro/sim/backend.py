@@ -1,22 +1,21 @@
 """Simulator backend selection.
 
-Three interchangeable implementations of the per-SM cycle loop exist,
-all producing bit-identical :class:`~repro.sim.counters.EventCounters`
-(pinned by ``tests/test_sim_equivalence.py`` and the golden fixture):
+Two implementations of the per-SM cycle loop exist, producing
+bit-identical :class:`~repro.sim.counters.EventCounters` (pinned by
+``tests/test_sim_equivalence.py`` and the golden fixture):
 
-* ``specialized`` — per-program compiled driver
-  (:mod:`repro.sim.specialize`); the default.  Programs the
-  specializer declines fall back to the event loop transparently.
-* ``event``       — the generic event-driven loop
-  (:class:`~repro.sim.sm.SMSimulator`).
+* ``specialized`` — :class:`~repro.sim.sm.SMSimulator`, whose loop is
+  a per-program compiled driver (:mod:`repro.sim.specialize`); the
+  default.  Programs the specializer declines run on the reference
+  scan transparently.
 * ``reference``   — the frozen seed per-cycle scan
   (:class:`~repro.sim.sm_reference.ReferenceSMSimulator`), kept as a
   behavioural oracle.
 
 The selection is a process-global (not part of
 :class:`~repro.sim.config.SimConfig`): the backend must not enter the
-content fingerprint, because all backends compute the same function —
-a cache entry produced by one must hit for any other.  The CLI threads
+content fingerprint, because both backends compute the same function —
+a cache entry produced by one must hit for the other.  The CLI threads
 ``--backend`` here via :func:`repro.sim.engine.engine_context`, which
 also installs it in pool workers.
 """
@@ -32,7 +31,7 @@ if TYPE_CHECKING:
     from repro.sim.sm import SMSimulator
 
 #: recognized backend names, in CLI display order.
-BACKENDS = ("specialized", "event", "reference")
+BACKENDS = ("specialized", "reference")
 
 #: backend used when nothing is selected.  ``specialized`` earned the
 #: default by passing the full golden sweep bit-identical (see
@@ -71,15 +70,12 @@ def backend_context(name: str) -> Iterator[str]:
 
 
 def simulator_class(backend: str | None = None) -> "type[SMSimulator]":
-    """The :class:`SMSimulator` subclass implementing ``backend``
-    (default: the current selection).  Imports lazily so selecting the
-    event loop never pays for the others."""
+    """The :class:`SMSimulator` class implementing ``backend``
+    (default: the current selection).  Imports lazily so that
+    ``import repro.sim`` loads neither the specializer nor the
+    reference scan."""
     name = backend if backend is not None else _current
     if name == "specialized":
-        from repro.sim.specialize import SpecializedSMSimulator
-
-        return SpecializedSMSimulator
-    if name == "event":
         from repro.sim.sm import SMSimulator
 
         return SMSimulator
@@ -99,8 +95,7 @@ def make_sm_simulator(spec, program, launch, config, **kwargs):
     The factory used by every plain simulation entry point
     (:meth:`GPUSimulator.launch_uncached`'s serial path and the
     engine's per-SM pool task).  Instrumented paths — tracing, the
-    sanitizer — construct :class:`~repro.sim.sm.SMSimulator` (or their
-    own subclass) directly and are unaffected by the selection.
+    sanitizer — run on the reference scan whatever the selection.
     """
     return simulator_class()(spec, program, launch, config, **kwargs)
 

@@ -40,18 +40,6 @@ class PipeSet:
         self._next_free[unit] = cycle + self._interval[unit]
         return self._latency[unit]
 
-    def try_issue(self, unit: str, cycle: int) -> int:
-        """:meth:`issue` if the pipe is free at ``cycle``, else ``-1``.
-
-        One dict lookup instead of the available()/issue() pair on the
-        ALU issue path.
-        """
-        nf = self._next_free
-        if nf[unit] > cycle:
-            return -1
-        nf[unit] = cycle + self._interval[unit]
-        return self._latency[unit]
-
     def next_free(self, unit: str) -> int:
         return self._next_free[unit]
 
@@ -109,33 +97,6 @@ class DrainQueue:
         for _ in range(transactions):
             done += self.drain_interval
             self._completions.append(done)
-        return done - cycle
-
-    def try_push(self, cycle: int, transactions: int) -> int:
-        """``full()`` + ``push()`` with a single evict pass.
-
-        Returns ``-1`` when the queue cannot accept the burst (the
-        caller throttles), else the queue-induced start delay exactly as
-        :meth:`push` would report it.  One call instead of three on the
-        issue path of every memory instruction.
-        """
-        comp = self._completions
-        while comp and comp[0] <= cycle:
-            comp.popleft()
-        if comp:
-            if len(comp) + transactions > self.capacity:
-                return -1
-            # post-evict, comp[-1] >= comp[0] > cycle: drains after the
-            # queued work.
-            start = comp[-1]
-        else:
-            # an empty queue always accepts (even oversized bursts).
-            start = cycle
-        done = start
-        di = self.drain_interval
-        for _ in range(transactions):
-            done += di
-            comp.append(done)
         return done - cycle
 
     def reset(self) -> None:

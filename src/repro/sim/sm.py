@@ -10,77 +10,31 @@ Per cycle every resident warp is assigned exactly one
 :class:`~repro.sim.stall_reasons.WarpState` — the invariant the PMU
 metrics rely on (``Σ state_cycles == warp_active_cycles``).
 
-The loop is *event-driven*: warps in a timed wait sit in per
-sub-partition wake queues (min-heaps keyed on ``ready_cycle``) and are
-never touched until they wake; issue candidates live in per
-sub-partition ready lists.  Stall cycles are charged in bulk —
-``examine_cycle − stall_start`` added to the warp's ``wait_state``
-when it is next examined — instead of one increment per warp per
-cycle, and whole cycles with no ready warp are skipped outright.
-This generalizes the old all-asleep fast-forward to the common
-memory-bound case where one or two warps are active and thirty sit on
-the long scoreboard.  The accounting is **bit-identical** to the
-per-cycle scan (``sm_reference.ReferenceSMSimulator``): every
-pseudo-random roll is keyed on ``(seed, warp_id, iteration, pc)``, not
-on host iteration order, and classification order within a cycle
-(sub-partition major, warp spawn order minor) is preserved via the
-``Warp.seq`` tie-break.  Pinned by ``tests/test_sim_equivalence.py``
-and the golden fixture ``tests/data/golden_sim_counters.json``.
+:class:`SMSimulator` holds the per-SM set-up — memory hierarchy,
+address generators, LSU/MIO/TEX queues, occupancy, rate and seed
+scalars, and the counters — and :meth:`SMSimulator.run` hands the
+cycle loop to a driver compiled for this program
+(:mod:`repro.sim.specialize`).  The frozen per-cycle scan
+(``sm_reference.ReferenceSMSimulator``) is the behavioural oracle the
+driver is **bit-identical** to, pinned by
+``tests/test_sim_equivalence.py`` and the golden fixture
+``tests/data/golden_sim_counters.json``; it also runs the rare
+programs the specializer declines.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from operator import attrgetter
-
 from repro.arch.spec import GPUSpec
-from repro.errors import SimulationError
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import ALL_OP_CLASSES, OpClass, Opcode
+from repro.isa.opcodes import ALL_OP_CLASSES
 from repro.isa.program import KernelProgram, LaunchConfig
 from repro.obs.runtime import active_obs
 from repro.sim.address_gen import AddressGenerator, build_generators
 from repro.sim.caches import MemoryHierarchy, SectorCache
 from repro.sim.config import SimConfig
 from repro.sim.counters import EventCounters
-from repro.sim.functional_units import DrainQueue, PipeSet
-from repro.sim.rng import hash_u64, mix64
-from repro.sim.stall_reasons import ALL_STATES, WarpState
-from repro.sim.warp import SB_LONG, SB_SHORT, Warp
-
-#: sentinel ready_cycle for barrier blocking (released by a sibling warp).
-_BARRIER_WAIT = 1 << 60
-
-#: instructions per fetch group (i-cache request granularity).
-_FETCH_GROUP = 8
-
-#: classification tie-break: warp spawn order within a sub-partition.
-_BY_SEQ = attrgetter("seq")
-
-#: divisor turning a 64-bit hash into a float in [0, 1) — exactly what
-#: :func:`repro.sim.rng.uniform` divides by.
-_TWO64 = float(1 << 64)
-#: 64-bit mask for the inlined SplitMix64 rounds (see rng.mix64).
-_M64 = (1 << 64) - 1
-
-_CONTROL_IDX = OpClass.CONTROL.idx
-_DISPATCH_STALL_IDX = WarpState.DISPATCH_STALL.idx
-_NOT_SELECTED_IDX = WarpState.NOT_SELECTED.idx
-#: per-pc issue-path dispatch kinds (``_kind_by_pc``): opcode class
-#: resolved once at construction instead of attribute chases per
-#: attempted issue.
-_K_GLOBAL = 0    # LG-queue memory (global/local)
-_K_SHARED = 1    # MIO-queue memory (shared)
-_K_TEX = 2       # TEX-queue memory
-_K_CONST = 3     # immediate-constant read
-_K_ALU = 4       # functional-unit op (incl. control on the ctrl pipe)
-_K_BRA = 5
-_K_BAR = 6
-_K_MEMBAR = 7
-_K_SLEEP = 8
-#: scoreboard kind (SB_FIXED / SB_LONG / SB_SHORT) -> blocked state.
-_SB_STATE = (WarpState.WAIT, WarpState.LONG_SCOREBOARD,
-             WarpState.SHORT_SCOREBOARD)
+from repro.sim.functional_units import DrainQueue
+from repro.sim.rng import hash_u64
+from repro.sim.stall_reasons import ALL_STATES
 
 
 class SMSimulator:
@@ -112,6 +66,7 @@ class SMSimulator:
         # simulated they share one array, so inter-SM interference (and
         # constructive sharing) is real.  Per-SM statistics are taken as
         # deltas around this SM's run.
+        self._shared_l2 = shared_l2
         l2 = shared_l2 if shared_l2 is not None else SectorCache(
             spec.memory.l2
         )
@@ -126,7 +81,6 @@ class SMSimulator:
             program.pattern_table, config.seed
         )
         n_smsp = spec.sm.subpartitions
-        self.pipes = [PipeSet(spec.sm) for _ in range(n_smsp)]
         mem = spec.memory
         self.lg_queue = [DrainQueue(mem.lg_queue_entries) for _ in range(n_smsp)]
         # the MIO/TEX paths drain slower than the LG path (shared memory
@@ -142,138 +96,22 @@ class SMSimulator:
         ]
         self.dispatch_busy_until = [0] * n_smsp
 
-        self.warps: list[Warp] = []
-        self.smsp_warps: list[list[Warp]] = [[] for _ in range(n_smsp)]
-        self._rr: list[int] = [0] * n_smsp
-        self._greedy: list[int] = [-1] * n_smsp  # GTO: last issued warp
-        self._gto = config.scheduler == "gto"
-        self._barrier_arrivals: dict[int, int] = {}
-        self._block_live_warps: dict[int, int] = {}
-        self._next_block = 0
-        self._spawn_pending = 0
-        self._exiting: set[int] = set()  # warp ids draining after EXIT
-
-        # event-driven scheduling state.  Sleeping warps live in per
-        # sub-partition wake heaps of (ready_cycle, seq, epoch, warp);
-        # seq is unique, so heap ordering never falls through to Warp.
-        # Entries are invalidated lazily: a barrier release re-arms the
-        # warp under a bumped wake_epoch and the stale entry is skipped
-        # on pop.  Issue candidates live in the per sub-partition ready
-        # lists, kept in seq order.
-        self._wake: list[list[tuple[int, int, int, Warp]]] = [
-            [] for _ in range(n_smsp)
-        ]
-        self._ready: list[list[Warp]] = [[] for _ in range(n_smsp)]
-        self._live = 0          # resident, non-exited warps
-        self._seq = 0           # next Warp.seq (per-SM spawn order)
-        self._block_warps: dict[int, list[Warp]] = {}  # live warps per CTA
-        # barrier-release context: which warp the loop is currently
-        # examining, so the release can tell "already classified this
-        # cycle" (charge through the release cycle) from "not yet"
-        # (charge up to it).  _cur_seq is None during the issue phase.
-        self._cur_smsp = 0
-        self._cur_seq: int | None = None
-        # run() statistics, exported as obs metrics (docs/OBSERVABILITY.md).
-        self._processed_cycles = 0
-        self._skipped_cycles = 0
-        self._wake_events = 0
-
-        # hot-path accumulators: plain lists indexed by the enums' int
-        # ``idx`` (no enum __hash__ per increment), folded back into the
-        # enum-keyed EventCounters dicts when run() finishes.
+        # the driver's accumulators: plain lists indexed by the enums'
+        # int ``idx`` (no enum __hash__ per increment), folded back into
+        # the enum-keyed EventCounters dicts when run() finishes.
         self._sc = [0] * len(ALL_STATES)
         self._cls = [0] * len(ALL_OP_CLASSES)
-        # shared prefix of every per-warp pseudo-random roll:
+        self._hot = [0, 0, 0, 0]  # issued, executed, thread_exec, replay
+        # scalars the driver's per-warp roll and memory tables read:
         # hash_u64(seed, warp_id) == mix64(_seed_acc ^ warp_id).
         self._seed_acc = hash_u64(config.seed)
         self._bank_rate = config.bank_conflict_rate
         self._disp_rate = config.dispatch_stall_rate
-        self._body_len = len(program.body)
-        self._iterations = program.iterations
-        # per-pc lookup tables: the classification scan touches only an
-        # instruction's registers and the memory path only its
-        # generator, so index those directly instead of chasing
-        # Instruction attributes per examined warp.
-        self._srcs_by_pc = [inst.srcs for inst in program.body]
-        self._dst_by_pc = [inst.dst for inst in program.body]
-        self._gen_by_pc = [
-            self.generators[inst.mem.pattern] if inst.mem is not None
-            else None
-            for inst in program.body
-        ]
-        # issue-path dispatch tables: opcode/operand properties resolved
-        # once per pc here, not chased per attempted issue.
-        self._bank_by_pc = [
-            len(inst.srcs) >= 2 and config.bank_conflict_rate > 0.0
-            for inst in program.body
-        ]
-        self._disp_on = config.dispatch_stall_rate > 0.0
-        self._cls_idx_by_pc = [
-            inst.opcode.op_class.idx for inst in program.body
-        ]
-        self._load_dst_by_pc = [
-            inst.dst if inst.opcode.loads else None for inst in program.body
-        ]
-        self._unit_by_pc = [
-            (inst.opcode.fu or "ctrl") for inst in program.body
-        ]
-        kinds = []
-        mem_rows: list[tuple[list[DrainQueue], WarpState] | None] = []
-        for inst in program.body:
-            op = inst.opcode
-            if op.mem_path:
-                cls = op.op_class
-                if cls is OpClass.MEM_CONSTANT:
-                    kinds.append(_K_CONST)
-                    mem_rows.append(None)
-                elif cls is OpClass.MEM_SHARED:
-                    kinds.append(_K_SHARED)
-                    mem_rows.append(
-                        (self.mio_queue, WarpState.MIO_THROTTLE)
-                    )
-                elif cls is OpClass.MEM_TEXTURE:
-                    kinds.append(_K_TEX)
-                    mem_rows.append(
-                        (self.tex_queue, WarpState.TEX_THROTTLE)
-                    )
-                else:
-                    kinds.append(_K_GLOBAL)
-                    mem_rows.append(
-                        (self.lg_queue, WarpState.LG_THROTTLE)
-                    )
-            elif op is Opcode.BRA:
-                kinds.append(_K_BRA)
-                mem_rows.append(None)
-            elif op is Opcode.BAR:
-                kinds.append(_K_BAR)
-                mem_rows.append(None)
-            elif op is Opcode.MEMBAR:
-                kinds.append(_K_MEMBAR)
-                mem_rows.append(None)
-            elif op is Opcode.NANOSLEEP:
-                kinds.append(_K_SLEEP)
-                mem_rows.append(None)
-            else:
-                kinds.append(_K_ALU)
-                mem_rows.append(None)
-        self._kind_by_pc = kinds
-        self._mem_by_pc = mem_rows
-        # flat accumulators for the four per-issue counters, folded into
-        # EventCounters by _fold_fast_counters.
-        self._hot = [0, 0, 0, 0]  # issued, executed, thread_exec, replay
-        # spec scalars read once per issued instruction: plain attributes
-        # beat the two-level dataclass chains in the issue path.
         self._lsu_width = mem.lsu_sectors_per_cycle
-        self._shared_latency = mem.shared_latency
-        self._branch_latency = spec.sm.branch_resolve_latency
-        self._icache_lat = spec.sm.icache_miss_latency
-
-        # i-cache pressure: probability that a fetch-group boundary misses.
-        footprint = program.footprint_instructions
-        capacity = spec.sm.icache_capacity_instructions
-        over = max(0, footprint - capacity)
-        self._fetch_miss_p = min(0.92, over / max(footprint, 1))
-        self._fetch_group = spec.sm.fetch_group_size
+        # run() statistics, exported as obs metrics (docs/OBSERVABILITY.md).
+        self._processed_cycles = 0
+        self._skipped_cycles = 0
+        self._wake_events = 0
 
         # resident-block limit: CUDA occupancy rules (warp slots, shared
         # memory, registers, block slots) capped by the config.
@@ -291,422 +129,28 @@ class SMSimulator:
             1, min(occupancy.blocks_per_sm, config.max_resident_blocks)
         )
 
-    # ------------------------------------------------------------------
-    # block / warp management
-    # ------------------------------------------------------------------
-    def _spawn_block(self, cycle: int) -> None:
-        """Make the next pending block resident and create its warps."""
-        block_id = self._next_block
-        self._next_block += 1
-        wpb = self.launch.warps_per_block
-        self._block_live_warps[block_id] = wpb
-        self._barrier_arrivals[block_id] = 0
-        block_warps: list[Warp] = []
-        self._block_warps[block_id] = block_warps
-        base_id = (self.sm_index << 24) | (block_id << 8)
-        for w in range(wpb):
-            smsp = (block_id * wpb + w) % self.spec.sm.subpartitions
-            warp = Warp(warp_id=base_id + w, block_id=block_id, smsp=smsp)
-            warp.seq = self._seq
-            self._seq += 1
-            warp.rng_prefix = mix64(self._seed_acc ^ warp.warp_id)
-            warp.rng_iter = mix64(warp.rng_prefix)  # iteration == 0
-            # cold instruction fetch, slightly staggered per warp.
-            warp.ready_cycle = cycle + self._icache_lat + (w & 3)
-            warp.wait_state = WarpState.NO_INSTRUCTION
-            warp.stall_start = cycle
-            self.warps.append(warp)
-            self.smsp_warps[smsp].append(warp)
-            block_warps.append(warp)
-            self._push_wake(warp)
-        self._live += wpb
-        self.counters.blocks_launched += 1
-        self.counters.warps_launched += wpb
-
-    def _push_wake(self, warp: Warp) -> None:
-        """(Re-)arm a sleeping warp's wake-heap entry."""
-        warp.wake_epoch += 1
-        heappush(self._wake[warp.smsp],
-                 (warp.ready_cycle, warp.seq, warp.wake_epoch, warp))
-
-    def _retire_warp(self, warp: Warp, cycle: int) -> None:
-        """Mark a warp exited; schedule replacement blocks lazily."""
-        warp.exited = True
-        self._live -= 1
-        self._exiting.discard(warp.warp_id)
-        block = warp.block_id
-        self._block_warps[block].remove(warp)
-        remaining = self._block_live_warps[block] - 1
-        self._block_live_warps[block] = remaining
-        if remaining == 0:
-            del self._block_live_warps[block]
-            del self._block_warps[block]
-            self._barrier_arrivals.pop(block, None)
-            if self._next_block < self.blocks_total:
-                self._spawn_pending += 1
-        elif (
-            self._barrier_arrivals.get(block, 0) >= remaining > 0
-        ):
-            # a warp exited while siblings wait at a barrier that is now
-            # complete without it — release them.
-            self._release_barrier(block, cycle)
-
-    def _release_barrier(self, block: int, cycle: int) -> None:
-        """Wake every warp of ``block`` waiting at the barrier.
-
-        O(warps-in-block) via the per-block index.  Accrued stall
-        cycles are settled here because the release rewrites
-        ``wait_state``: a warp the cycle loop has already passed this
-        cycle is charged *through* ``cycle`` (the per-cycle scan
-        charged it BARRIER before the release), one not yet reached is
-        charged up to ``cycle`` only and reports NO_INSTRUCTION for the
-        current cycle when it is next examined.
-        """
-        self._barrier_arrivals[block] = 0
-        sc = self._sc
-        cur_smsp = self._cur_smsp
-        cur_seq = self._cur_seq
-        for other in self._block_warps[block]:
-            if not other.at_barrier:
-                continue
-            classified = other.smsp < cur_smsp or (
-                other.smsp == cur_smsp
-                and (cur_seq is None or other.seq < cur_seq)
-            )
-            upto = cycle + 1 if classified else cycle
-            if upto > other.stall_start:
-                sc[other.wait_state.idx] += upto - other.stall_start
-                other.stall_start = upto
-            other.at_barrier = False
-            other.ready_cycle = cycle + 1
-            other.wait_state = WarpState.NO_INSTRUCTION
-            self._push_wake(other)
-
-    def _end_of_cycle_spawn(self, cycle: int) -> None:
-        """Purge exited warps and make replacement blocks resident."""
-        for lst in self.smsp_warps:
-            lst[:] = [w for w in lst if not w.exited]
-        self.warps = [w for w in self.warps if not w.exited]
-        while self._spawn_pending > 0 and self._next_block < self.blocks_total:
-            self._spawn_pending -= 1
-            self._spawn_block(cycle + 1)
-        self._spawn_pending = 0
-
-    # ------------------------------------------------------------------
-    # issue path
-    # ------------------------------------------------------------------
-    def _attempt_issue(self, warp: Warp, inst: Instruction,
-                       cycle: int) -> WarpState:
-        """Try to issue ``inst`` from ``warp`` at ``cycle``.
-
-        Returns the warp's state for this cycle: ``SELECTED`` on issue, or
-        a (timed) stall state when a structural hazard blocks it.
-        """
-        pc = warp.pc
-
-        # pseudo-random micro-hiccups (register bank / dispatch glitches);
-        # guarded by a per-dynamic-instruction token so the deterministic
-        # roll cannot stall the same instruction more than once.  The
-        # rolls are rng.uniform(seed, warp_id, iteration, pc, salt)
-        # unrolled around the warp's cached (seed, warp_id) hash prefix.
-        token = warp.iteration * self._body_len + pc
-        if token != warp.hiccup_token:
-            # mix64 inlined (SplitMix64 finalizer): the rolls run once
-            # per dispatched instruction and the call overhead shows.
-            roll_base = -1
-            if self._bank_by_pc[pc]:
-                x = warp.rng_iter ^ pc
-                x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-                x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-                roll_base = (x ^ (x >> 31)) & _M64
-                x = roll_base ^ 7
-                x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-                x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-                if ((x ^ (x >> 31)) & _M64) / _TWO64 < self._bank_rate:
-                    warp.hiccup_token = token
-                    warp.ready_cycle = cycle + 2
-                    warp.wait_state = WarpState.MISC
-                    return WarpState.MISC
-            if self._disp_on:
-                if roll_base < 0:
-                    x = warp.rng_iter ^ pc
-                    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-                    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-                    roll_base = (x ^ (x >> 31)) & _M64
-                x = roll_base ^ 11
-                x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-                x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-                if ((x ^ (x >> 31)) & _M64) / _TWO64 < self._disp_rate:
-                    warp.hiccup_token = token
-                    warp.ready_cycle = cycle + 2
-                    warp.wait_state = WarpState.DISPATCH_STALL
-                    return WarpState.DISPATCH_STALL
-
-        kind = self._kind_by_pc[pc]
-        if kind == _K_ALU:
-            # ALU / control ops execute on a functional-unit pipe; most
-            # of a compute-bound kernel's instructions land here.
-            latency = self.pipes[warp.smsp].try_issue(
-                self._unit_by_pc[pc], cycle
-            )
-            if latency < 0:
-                warp.ready_cycle = self.pipes[warp.smsp].next_free(
-                    self._unit_by_pc[pc]
-                )
-                warp.wait_state = WarpState.MATH_PIPE_THROTTLE
-                return WarpState.MATH_PIPE_THROTTLE
-            hot = self._hot
-            hot[0] += 1
-            hot[1] += 1
-            hot[2] += warp.active_threads
-            self._cls[self._cls_idx_by_pc[pc]] += 1
-            dst = inst.dst
-            if dst is not None:
-                warp.pending_regs[dst] = (cycle + latency, 0)  # SB_FIXED
-            warp.ready_cycle = cycle + 1
-            self._advance(warp, cycle)
-            return WarpState.SELECTED
-
-        if kind <= _K_TEX:
-            # queued memory path (LG/MIO/TEX), folded in (one fewer
-            # call per memory instruction; the trace shim wraps
-            # _attempt_issue, so the fold is invisible to
-            # instrumentation).
-            gen = self._gen_by_pc[pc]
-            # consecutive-run accesses (streams, small strides) carry
-            # just (first, n); only irregular shapes build the list.
-            run = gen.span(
-                warp.warp_id, warp.iteration, pc, warp.active_threads
-            )
-            if run is not None:
-                sectors = None
-                first_sector, n_sectors = run
-            else:
-                sectors = gen.sectors(
-                    warp.warp_id, warp.iteration, pc, warp.active_threads
-                )
-                n_sectors = len(sectors)
-            transactions = max(1, -(-n_sectors // self._lsu_width))
-            smsp = warp.smsp
-            queues, throttle = self._mem_by_pc[pc]
-            queue = queues[smsp]
-
-            queue_delay = queue.try_push(cycle, transactions)
-            if queue_delay < 0:
-                # wait until the queue drains enough to accept us.
-                warp.ready_cycle = max(cycle + 1, queue.next_drain(cycle))
-                warp.wait_state = throttle
-                return throttle
-
-            if kind == _K_SHARED:
-                latency = self._shared_latency
-                sb_kind = SB_SHORT
-                # shared-memory bank conflicts genuinely replay at
-                # issue: every extra wavefront consumes an issue slot.
-                issue_slots = transactions
-            else:
-                latency = (
-                    self.memory.access_global_span(first_sector, n_sectors)
-                    if sectors is None
-                    else self.memory.access_global(sectors)
-                )
-                sb_kind = SB_LONG
-                # uncoalesced global accesses are mostly split inside
-                # the LSU; only every fourth extra wavefront re-issues.
-                issue_slots = 1 + (transactions - 1) // 4
-
-            complete = cycle + queue_delay + latency
-            # _count_executed, inlined into the flat accumulators (hot:
-            # every LG/MIO/TEX instruction).
-            hot = self._hot
-            hot[0] += issue_slots
-            hot[1] += 1
-            hot[2] += warp.active_threads
-            hot[3] += issue_slots - 1
-            self._cls[self._cls_idx_by_pc[pc]] += 1
-            dst = self._load_dst_by_pc[pc]
-            if dst is not None:
-                warp.pending_regs[dst] = (complete, sb_kind)
-            if complete > warp.last_mem_complete:
-                warp.last_mem_complete = complete
-            if transactions > 1:
-                # replayed wavefronts occupy the dispatch unit;
-                # dispatch hands two wavefronts per cycle to the LSU
-                # front, so big bursts outpace the queue's
-                # one-per-cycle drain and back it up (lg/mio throttle).
-                dispatch_cycles = (transactions + 1) // 2
-                self.dispatch_busy_until[smsp] = max(
-                    self.dispatch_busy_until[smsp], cycle + dispatch_cycles
-                )
-                warp.ready_cycle = cycle + dispatch_cycles
-            else:
-                warp.ready_cycle = cycle + 1
-            self._advance(warp, cycle)
-            return WarpState.SELECTED
-
-        if kind == _K_CONST:
-            # constant reads go through the IMC; no LSU queue.
-            c = self.counters
-            gen = self._gen_by_pc[pc]
-            sectors = gen.sectors(warp.warp_id, warp.iteration, pc, 1)
-            missed, latency = self.memory.access_constant(sectors)
-            c.inst_issued += 1
-            self._count_executed(warp, inst)
-            if missed:
-                warp.ready_cycle = cycle + latency
-                warp.wait_state = WarpState.IMC_MISS
-            else:
-                warp.ready_cycle = cycle + 1
-            if inst.dst is not None:
-                warp.pending_regs[inst.dst] = (cycle + latency, 0)
-            self._advance(warp, cycle)
-            return WarpState.SELECTED
-        if kind == _K_BRA:
-            return self._issue_branch(warp, inst, cycle)
-        if kind == _K_BAR:
-            return self._issue_barrier(warp, cycle)
-        if kind == _K_MEMBAR:
-            self._count_executed(warp, inst)
-            wake = max(
-                cycle + self._shared_latency,
-                warp.last_mem_complete,
-            )
-            warp.ready_cycle = wake
-            warp.wait_state = WarpState.MEMBAR
-            self._advance(warp, cycle)
-            return WarpState.SELECTED
-        # _K_SLEEP
-        self._count_executed(warp, inst)
-        warp.ready_cycle = cycle + 40
-        warp.wait_state = WarpState.SLEEPING
-        self._advance(warp, cycle)
-        return WarpState.SELECTED
-
-    def _issue_branch(self, warp: Warp, inst: Instruction,
-                      cycle: int) -> WarpState:
-        c = self.counters
-        assert inst.branch is not None
-        info = inst.branch
-        self._count_executed(warp, inst)
-        c.branches_executed += 1
-        taken = round(32 * info.taken_fraction)
-        if 0 < taken < 32 or info.else_length > 0:
-            c.divergent_branches += 1
-        warp.enter_region(warp.pc, info.if_length, info.else_length,
-                          info.taken_fraction)
-        warp.ready_cycle = cycle + self._branch_latency
-        warp.wait_state = WarpState.BRANCH_RESOLVING
-        self._advance(warp, cycle)
-        return WarpState.SELECTED
-
-    def _issue_barrier(self, warp: Warp, cycle: int) -> WarpState:
-        c = self.counters
-        self._count_executed_simple(warp)
-        c.barriers_executed += 1
-        block = warp.block_id
-        self._barrier_arrivals[block] += 1
-        expected = self._block_live_warps[block]
-        if self._barrier_arrivals[block] >= expected:
-            self._release_barrier(block, cycle)
-            warp.ready_cycle = cycle + 1
-        else:
-            warp.at_barrier = True
-            warp.ready_cycle = _BARRIER_WAIT
-            warp.wait_state = WarpState.BARRIER
-        self._advance(warp, cycle)
-        return WarpState.SELECTED
-
-    # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-    def _count_executed(self, warp: Warp, inst: Instruction) -> None:
-        c = self.counters
-        op = inst.opcode
-        c.inst_executed += 1
-        if not op.mem_path:
-            c.inst_issued += 1
-        c.thread_inst_executed += warp.active_threads
-        self._cls[op.op_class.idx] += 1
-
-    def _count_executed_simple(self, warp: Warp) -> None:
-        c = self.counters
-        c.inst_executed += 1
-        c.inst_issued += 1
-        c.thread_inst_executed += warp.active_threads
-        self._cls[_CONTROL_IDX] += 1
-
-    def _advance(self, warp: Warp, cycle: int) -> None:
-        """Move the warp past the instruction it just issued."""
-        # Warp.advance_pc, fast-pathed for the converged common case
-        # (empty divergence region — the invariant guarantees
-        # active_threads == 32 then, so the wrap bookkeeping reduces to
-        # the pc/iteration update).
-        if warp.region:
-            at_exit = warp.advance_pc(self._body_len, self._iterations)
-        else:
-            pc = warp.pc + 1
-            if pc >= self._body_len:
-                warp.pc = 0
-                it = warp.iteration + 1
-                warp.iteration = it
-                at_exit = it >= self._iterations
-            else:
-                warp.pc = pc
-                at_exit = False
-        if at_exit:
-            # implicit EXIT: counts as one more executed instruction.
-            self._count_executed_simple(warp)
-            if warp.last_mem_complete > cycle:
-                warp.ready_cycle = warp.last_mem_complete
-                warp.wait_state = WarpState.DRAIN
-                self._exiting.add(warp.warp_id)
-            else:
-                self._retire_warp(warp, cycle)
-            return
-        if warp.pc == 0:
-            # wrapped into a new body iteration: refresh the cached
-            # per-iteration roll prefix (mix64, inlined).
-            x = warp.rng_prefix ^ warp.iteration
-            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-            warp.rng_iter = (x ^ (x >> 31)) & _M64
-        # instruction-fetch modelling: group boundaries may miss.  The
-        # roll is rng.uniform(seed, warp_id, iteration, pc, 3) unrolled
-        # around the warp's cached prefixes (post-advance pc).
-        if self._fetch_miss_p > 0.0 and warp.pc % self._fetch_group == 0:
-            x = warp.rng_iter ^ warp.pc
-            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-            x = ((x ^ (x >> 31)) & _M64) ^ 3
-            x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _M64
-            x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _M64
-            if ((x ^ (x >> 31)) & _M64) / _TWO64 < self._fetch_miss_p:
-                miss_ready = cycle + 1 + self._icache_lat
-                if miss_ready > warp.ready_cycle:
-                    warp.ready_cycle = miss_ready
-                    warp.wait_state = WarpState.NO_INSTRUCTION
-
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
     def run(self) -> EventCounters:
         """Simulate until every assigned block completes; return events.
 
-        Event-driven: only *processed* cycles — where some warp wakes
-        or is ready to issue — walk warps at all, and only the woken /
-        ready warps are walked.  Cycles in which every warp sleeps are
-        charged in bulk and skipped.  Counter-for-counter identical to
-        :class:`~repro.sim.sm_reference.ReferenceSMSimulator`.
+        The cycle loop is the program's compiled driver
+        (:func:`repro.sim.specialize.driver_for`).  A program the
+        specializer declines runs on the reference scan instead, counted
+        in ``sim.specialize_fallbacks``.
         """
         c = self.counters
         if self.blocks_total == 0:
             return c
+        from repro.sim.specialize import driver_for
+
+        driver = driver_for(self.program, self.spec, self.config)
+        if isinstance(driver, str):
+            return self._run_reference(driver)
         try:
-            self._run_loop()
+            driver.drive(self)
         finally:
-            # fold the list-indexed hot-loop accumulators into the
-            # enum-keyed counter dicts, also when the loop raises
-            # (deadlock / max_cycles) so partial counters stay sane.
+            # fold the list-indexed accumulators into the enum-keyed
+            # counter dicts, also when the loop raises (deadlock /
+            # max_cycles) so partial counters stay sane.
             self._fold_fast_counters()
         # copy memory-system statistics into the counter record.
         c.l1_sector_accesses = self.memory.l1.accesses
@@ -719,6 +163,24 @@ class SMSimulator:
         c.validate()
         self._record_obs_metrics()
         return c
+
+    def _run_reference(self, reason: str) -> EventCounters:
+        """Run a declined program on the reference scan, visibly."""
+        from repro.sim.sm_reference import ReferenceSMSimulator
+
+        obs = active_obs()
+        if obs.metrics.enabled:
+            obs.metrics.inc("sim.specialize_fallbacks")
+        obs.tracer.instant(
+            "sim.specialize_fallback", cat="sim",
+            kernel=self.program.name, reason=reason,
+        )
+        self.counters = ReferenceSMSimulator(
+            self.spec, self.program, self.launch, self.config,
+            sm_index=self.sm_index, blocks_assigned=self.blocks_total,
+            shared_l2=self._shared_l2,
+        ).run()
+        return self.counters
 
     def _fold_fast_counters(self) -> None:
         """Fold ``_sc`` / ``_cls`` / ``_hot`` into the EventCounters."""
@@ -737,313 +199,6 @@ class SMSimulator:
         c.thread_inst_executed += hot[2]
         c.replay_transactions += hot[3]
         self._hot = [0, 0, 0, 0]
-
-    def _run_loop(self) -> None:
-        c = self.counters
-        cycle = 0
-        while self._next_block < min(self.max_concurrent_blocks,
-                                     self.blocks_total):
-            self._spawn_block(0)
-
-        body = self.program.body
-        dispatch_per_smsp = self.spec.sm.dispatch_units_per_subpartition
-        n_smsp = self.spec.sm.subpartitions
-        smsp_range = range(n_smsp)
-        sc = self._sc
-        max_cycles = self.config.max_cycles
-        wake = self._wake
-        ready = self._ready
-        exiting = self._exiting
-        dispatch_busy_until = self.dispatch_busy_until
-        greedy = self._greedy
-        rr = self._rr
-        gto = self._gto
-        attempt = self._attempt_issue
-        selected = WarpState.SELECTED
-        srcs_by_pc = self._srcs_by_pc
-        dst_by_pc = self._dst_by_pc
-        sb_state = _SB_STATE
-        processed = 0
-        skipped = 0
-        wake_events = 0
-        # EventCounters attribute read-modify-writes are measurable at
-        # one-per-cycle; accumulate locally, fold in the finally.
-        cycles_active = 0
-        warp_active = 0
-
-        try:
-            while True:
-                live = self._live
-                if live == 0:
-                    if self._next_block >= self.blocks_total:
-                        break
-                    self._spawn_block(cycle)
-                    live = self._live
-                if cycle >= max_cycles:
-                    raise SimulationError(
-                        f"kernel {self.program.name!r} exceeded "
-                        f"{max_cycles} simulated cycles"
-                    )
-
-                processed += 1
-                cycles_active += 1
-                warp_active += live
-
-                next_ready = False
-                for smsp in smsp_range:
-                    heap = wake[smsp]
-                    exam = ready[smsp]
-                    if heap and heap[0][0] <= cycle:
-                        woken: list[Warp] = []
-                        while heap and heap[0][0] <= cycle:
-                            rc, seq, epoch, w = heappop(heap)
-                            # skip entries orphaned by a barrier release
-                            # or a warp exit.
-                            if (w.exited or epoch != w.wake_epoch
-                                    or rc != w.ready_cycle):
-                                continue
-                            woken.append(w)
-                        wake_events += len(woken)
-                        if exam:
-                            exam = exam + woken
-                            exam.sort(key=_BY_SEQ)
-                        else:
-                            woken.sort(key=_BY_SEQ)
-                            exam = woken
-                    if not exam:
-                        continue
-
-                    # classification: one state per examined warp, in
-                    # the reference scan order (seq within the smsp).
-                    self._cur_smsp = smsp
-                    new_ready: list[Warp] = []
-                    candidates: list[Warp] | None = None
-                    for w in exam:
-                        if w.exited:
-                            continue
-                        start = w.stall_start
-                        if start < cycle:
-                            # bulk charge for the cycles slept through.
-                            sc[w.wait_state.idx] += cycle - start
-                            w.stall_start = cycle
-                        if w.warp_id in exiting:
-                            # drain finished: retire; no state this
-                            # cycle.  The retire can release a barrier
-                            # (last sibling), so expose this warp's seq
-                            # to _release_barrier for the duration.
-                            self._cur_seq = w.seq
-                            warp_active -= 1
-                            self._retire_warp(w, cycle)
-                            self._cur_seq = None
-                            continue
-                        # Warp.scoreboard_block, inlined: RAW on the
-                        # sources, WAW on the destination, expired
-                        # entries dropped.  Runs once per examined warp
-                        # per processed cycle — the call overhead is
-                        # measurable at this frequency.
-                        pending = w.pending_regs
-                        kind = None
-                        ready_at = -1
-                        if pending:
-                            pc = w.pc
-                            get = pending.get
-                            for reg in srcs_by_pc[pc]:
-                                entry = get(reg)
-                                if entry is None:
-                                    continue
-                                rdy, knd = entry
-                                if rdy <= cycle:
-                                    del pending[reg]
-                                elif rdy > ready_at:
-                                    ready_at = rdy
-                                    kind = knd
-                            dst = dst_by_pc[pc]
-                            if dst is not None:
-                                entry = get(dst)
-                                if entry is not None:
-                                    rdy, knd = entry
-                                    if rdy <= cycle:
-                                        del pending[dst]
-                                    elif rdy > ready_at:
-                                        ready_at = rdy
-                                        kind = knd
-                        if kind is None:
-                            if candidates is None:
-                                candidates = [w]
-                            else:
-                                candidates.append(w)
-                            continue
-                        w.ready_cycle = ready_at
-                        st = sb_state[kind]
-                        w.wait_state = st
-                        sc[st.idx] += 1
-                        w.stall_start = cycle + 1
-                        if ready_at <= cycle + 1:
-                            new_ready.append(w)
-                        else:
-                            # _push_wake, inlined.
-                            ep = w.wake_epoch + 1
-                            w.wake_epoch = ep
-                            heappush(heap, (ready_at, w.seq, ep, w))
-
-                    if candidates is not None:
-                        if dispatch_busy_until[smsp] > cycle:
-                            sc[_DISPATCH_STALL_IDX] += len(candidates)
-                            for w in candidates:
-                                w.stall_start = cycle + 1
-                                new_ready.append(w)
-                        else:
-                            if gto:
-                                # greedy-then-oldest: the last issued
-                                # warp first (if still a candidate),
-                                # then by age.
-                                greedy_id = greedy[smsp]
-                                if len(candidates) > 1:
-                                    candidates.sort(
-                                        key=lambda w: (
-                                            w.warp_id != greedy_id,
-                                            w.warp_id,
-                                        )
-                                    )
-                                order = candidates
-                            else:
-                                # loose round-robin start for fairness.
-                                start_i = rr[smsp] % len(candidates)
-                                rr[smsp] += 1
-                                order = (candidates[start_i:]
-                                         + candidates[:start_i])
-                            budget = dispatch_per_smsp
-                            for w in order:
-                                issued = False
-                                if budget > 0:
-                                    state = attempt(w, body[w.pc], cycle)
-                                    sc[state.idx] += 1
-                                    if state is selected:
-                                        issued = True
-                                        budget -= 1
-                                        greedy[smsp] = w.warp_id
-                                else:
-                                    sc[_NOT_SELECTED_IDX] += 1
-                                w.stall_start = cycle + 1
-                                if w.exited:
-                                    continue
-                                rc = w.ready_cycle
-                                if rc > cycle + 1:
-                                    # _push_wake, inlined.
-                                    ep = w.wake_epoch + 1
-                                    w.wake_epoch = ep
-                                    heappush(heap, (rc, w.seq, ep, w))
-                                    continue
-                                if issued:
-                                    # eager scoreboard peek for the next
-                                    # instruction, evaluated as of
-                                    # cycle+1 — the examination it
-                                    # replaces.  If an operand blocks
-                                    # past cycle+1, charge that cycle's
-                                    # state now, drop expired entries as
-                                    # the examination would, and sleep
-                                    # straight to the operand's ready
-                                    # cycle.  Totals are identical:
-                                    # 1 + (T - cycle - 2) either way.
-                                    pending = w.pending_regs
-                                    kind = None
-                                    ready_at = -1
-                                    if pending:
-                                        pc = w.pc
-                                        nc = cycle + 1
-                                        get = pending.get
-                                        for reg in srcs_by_pc[pc]:
-                                            entry = get(reg)
-                                            if entry is None:
-                                                continue
-                                            rdy, knd = entry
-                                            if rdy <= nc:
-                                                del pending[reg]
-                                            elif rdy > ready_at:
-                                                ready_at = rdy
-                                                kind = knd
-                                        dst = dst_by_pc[pc]
-                                        if dst is not None:
-                                            entry = get(dst)
-                                            if entry is not None:
-                                                rdy, knd = entry
-                                                if rdy <= nc:
-                                                    del pending[dst]
-                                                elif rdy > ready_at:
-                                                    ready_at = rdy
-                                                    kind = knd
-                                    if kind is not None:
-                                        # ready_at >= cycle+2 here, so
-                                        # the wake heap covers it.
-                                        st = sb_state[kind]
-                                        w.wait_state = st
-                                        sc[st.idx] += 1
-                                        w.stall_start = cycle + 2
-                                        w.ready_cycle = ready_at
-                                        ep = w.wake_epoch + 1
-                                        w.wake_epoch = ep
-                                        heappush(
-                                            heap,
-                                            (ready_at, w.seq, ep, w),
-                                        )
-                                        continue
-                                new_ready.append(w)
-
-                    if len(new_ready) > 1:
-                        # issue order (GTO / rotated round-robin) is not
-                        # seq order; restore it for the next scan.
-                        new_ready.sort(key=_BY_SEQ)
-                    ready[smsp] = new_ready
-                    if new_ready:
-                        next_ready = True
-
-                if self._spawn_pending:
-                    self._end_of_cycle_spawn(cycle)
-
-                if next_ready:
-                    cycle += 1
-                    continue
-
-                # every live warp sleeps: jump to the earliest wake-up.
-                nxt: int | None = None
-                for smsp in smsp_range:
-                    heap = wake[smsp]
-                    while heap:
-                        rc, seq, epoch, w = heap[0]
-                        if (w.exited or epoch != w.wake_epoch
-                                or rc != w.ready_cycle):
-                            heappop(heap)
-                            continue
-                        if nxt is None or rc < nxt:
-                            nxt = rc
-                        break
-                if nxt is None:
-                    # no sleepers either: everything retired this cycle.
-                    cycle += 1
-                    continue
-                if nxt >= _BARRIER_WAIT:
-                    raise SimulationError(
-                        f"kernel {self.program.name!r}: all warps "
-                        "blocked at a barrier (deadlock)"
-                    )
-                gap = nxt - (cycle + 1)
-                if gap > 0:
-                    # the skipped cycles are charged to each sleeper's
-                    # wait_state lazily, on its next examination.
-                    skipped += gap
-                    cycles_active += gap
-                    warp_active += gap * self._live
-                    cycle = nxt
-                else:
-                    cycle += 1
-
-            c.cycles_elapsed = cycle
-        finally:
-            c.cycles_active += cycles_active
-            c.warp_active_cycles += warp_active
-            self._processed_cycles = processed
-            self._skipped_cycles = skipped
-            self._wake_events = wake_events
 
     def _record_obs_metrics(self) -> None:
         """Export loop statistics as deterministic obs counters.

@@ -1,33 +1,40 @@
 """Frozen reference implementation of the SM cycle loop.
 
-:class:`ReferenceSMSimulator` preserves the original *per-cycle full
-scan* loop that :class:`~repro.sim.sm.SMSimulator` used before the
-event-driven rewrite: every cycle, every resident warp is examined and
-charged exactly one :class:`~repro.sim.stall_reasons.WarpState`, with a
+:class:`ReferenceSMSimulator` preserves the seed revision's *per-cycle
+full scan*: every cycle, every resident warp is examined and charged
+exactly one :class:`~repro.sim.stall_reasons.WarpState`, with a
 fast-forward only when *no* sub-partition has an issue candidate.
 
-It exists purely as a behavioural oracle:
+It is the behavioural oracle of the compiled driver behind
+:meth:`~repro.sim.sm.SMSimulator.run`:
 
-* ``tests/test_sim_equivalence.py`` runs randomized kernels through
-  both loops and asserts bit-identical :class:`EventCounters`;
+* ``tests/test_sim_equivalence.py`` runs randomized and directed
+  kernels through both and asserts bit-identical
+  :class:`EventCounters`;
 * ``benchmarks/test_bench_simcore.py`` uses it for the "before"
   timings in ``BENCH_SIMCORE.json``.
 
-The whole per-cycle path is pinned: the scan loop, the barrier
-release, and the issue path (``_attempt_issue`` and the ``_issue_*`` /
-``_count_executed*`` / ``_advance`` helpers), exactly as the seed
-revision wrote them — dictionary-keyed state counters, enum
-properties, plain :func:`~repro.sim.rng.uniform` calls and all.  The
-shared memory-model helpers the issue path leans on are pinned too:
-``_SeedSectorCache`` / ``_SeedMemoryHierarchy`` /
-``_SeedAddressGenerator`` and the combined-scan scoreboard check are
-verbatim seed copies, wired in by ``__init__``.  The equivalence suite
-therefore proves the *entire* optimized stack — loop, issue path,
-caches, address generation, scoreboard — against the seed, not just
-the loop.  Only construction and warp/block bookkeeping are inherited
-from the live simulator (they set up extra event-loop state this loop
-simply never reads).  Do not "improve" this file: its value is that it
-does not change.
+It is also the simulator of record wherever one issue at a time must
+be observable: programs the specializer declines, the issue tracer
+(:mod:`repro.sim.trace`) and the sanitizer's
+``SanitizingSimulator`` all run here, hooking ``_attempt_issue`` and
+``_release_barrier``.
+
+The whole per-cycle path is pinned: the scan loop, the block/warp
+bookkeeping (spawn, retire, barrier release), and the issue path
+(``_attempt_issue`` and the ``_issue_*`` / ``_count_executed*`` /
+``_advance`` helpers), exactly as the seed revision wrote them —
+dictionary-keyed state counters, enum properties, plain
+:func:`~repro.sim.rng.uniform` calls and all.  The shared memory-model
+helpers the issue path leans on are pinned too: ``_SeedSectorCache`` /
+``_SeedMemoryHierarchy`` / ``_SeedAddressGenerator`` and the
+combined-scan scoreboard check are verbatim seed copies, wired in by
+``__init__``.  The equivalence suite therefore proves the *entire*
+fast stack — loop, issue path, caches, address generation, scoreboard
+— against the seed, not just the loop.  Only the per-SM set-up
+(geometry, queues, occupancy) is inherited from
+:class:`~repro.sim.sm.SMSimulator`.  Do not "improve" this file: its
+value is that it does not change.
 """
 
 from __future__ import annotations
@@ -38,12 +45,16 @@ from repro.isa.instruction import AccessKind, Instruction
 from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.program import AccessPattern
 from repro.sim.counters import EventCounters
+from repro.sim.functional_units import PipeSet
 from repro.sim.rng import hash_u64, stable_str_hash, uniform
-from repro.sim.sm import _BARRIER_WAIT, SMSimulator
+from repro.sim.sm import SMSimulator
 from repro.sim.stall_reasons import WarpState
 from repro.sim.warp import SB_LONG, SB_SHORT, Warp
 
 _SECTOR_BYTES = 32
+
+#: sentinel ready_cycle for barrier blocking (released by a sibling warp).
+_BARRIER_WAIT = 1 << 60
 
 
 class _SeedSectorCache:
@@ -214,13 +225,33 @@ def _scoreboard_block(warp: Warp, srcs, dst, cycle):
 
 
 class ReferenceSMSimulator(SMSimulator):
-    """The pre-event-loop SM simulator (O(resident warps) per cycle)."""
+    """The seed SM simulator (O(resident warps) per cycle)."""
 
     def __init__(self, spec, program, launch, config, *, sm_index=0,
                  blocks_assigned=None, shared_l2=None):
         super().__init__(spec, program, launch, config, sm_index=sm_index,
                          blocks_assigned=blocks_assigned,
                          shared_l2=shared_l2)
+        n_smsp = spec.sm.subpartitions
+        self.pipes = [PipeSet(spec.sm) for _ in range(n_smsp)]
+        self.warps: list[Warp] = []
+        self.smsp_warps: list[list[Warp]] = [[] for _ in range(n_smsp)]
+        self._rr: list[int] = [0] * n_smsp
+        self._greedy: list[int] = [-1] * n_smsp  # GTO: last issued warp
+        self._gto = config.scheduler == "gto"
+        self._barrier_arrivals: dict[int, int] = {}
+        self._block_live_warps: dict[int, int] = {}
+        self._next_block = 0
+        self._spawn_pending = 0
+        self._exiting: set[int] = set()  # warp ids draining after EXIT
+
+        # i-cache pressure: probability that a fetch-group boundary misses.
+        footprint = program.footprint_instructions
+        capacity = spec.sm.icache_capacity_instructions
+        over = max(0, footprint - capacity)
+        self._fetch_miss_p = min(0.92, over / max(footprint, 1))
+        self._fetch_group = spec.sm.fetch_group_size
+
         # swap the optimized memory model and address generators for the
         # pinned seed copies; an externally shared L2 (multi-SM runs) is
         # kept as handed in — its owner decides the implementation.
@@ -237,6 +268,65 @@ class ReferenceSMSimulator(SMSimulator):
             name: _SeedAddressGenerator(p, config.seed)
             for name, p in program.pattern_table.items()
         }
+
+    # ------------------------------------------------------------------
+    # block / warp management (seed revision)
+    # ------------------------------------------------------------------
+    def _spawn_block(self, cycle: int) -> None:
+        """Make the next pending block resident and create its warps."""
+        block_id = self._next_block
+        self._next_block += 1
+        wpb = self.launch.warps_per_block
+        self._block_live_warps[block_id] = wpb
+        self._barrier_arrivals[block_id] = 0
+        base_id = (self.sm_index << 24) | (block_id << 8)
+        for w in range(wpb):
+            smsp = (block_id * wpb + w) % self.spec.sm.subpartitions
+            warp = Warp(warp_id=base_id + w, block_id=block_id, smsp=smsp)
+            # cold instruction fetch, slightly staggered per warp.
+            warp.ready_cycle = cycle + self.spec.sm.icache_miss_latency + (w & 3)
+            warp.wait_state = WarpState.NO_INSTRUCTION
+            self.warps.append(warp)
+            self.smsp_warps[smsp].append(warp)
+        self.counters.blocks_launched += 1
+        self.counters.warps_launched += wpb
+
+    def _retire_warp(self, warp: Warp, cycle: int) -> None:
+        """Mark a warp exited; schedule replacement blocks lazily."""
+        warp.exited = True
+        self._exiting.discard(warp.warp_id)
+        block = warp.block_id
+        remaining = self._block_live_warps[block] - 1
+        self._block_live_warps[block] = remaining
+        if remaining == 0:
+            del self._block_live_warps[block]
+            self._barrier_arrivals.pop(block, None)
+            if self._next_block < self.blocks_total:
+                self._spawn_pending += 1
+        elif (
+            self._barrier_arrivals.get(block, 0) >= remaining > 0
+        ):
+            # a warp exited while siblings wait at a barrier that is now
+            # complete without it — release them.
+            self._release_barrier(block, cycle)
+
+    def _release_barrier(self, block: int, cycle: int) -> None:
+        self._barrier_arrivals[block] = 0
+        for other in self.warps:
+            if other.block_id == block and other.at_barrier:
+                other.at_barrier = False
+                other.ready_cycle = cycle + 1
+                other.wait_state = WarpState.NO_INSTRUCTION
+
+    def _end_of_cycle_spawn(self, cycle: int) -> None:
+        """Purge exited warps and make replacement blocks resident."""
+        for lst in self.smsp_warps:
+            lst[:] = [w for w in lst if not w.exited]
+        self.warps = [w for w in self.warps if not w.exited]
+        while self._spawn_pending > 0 and self._next_block < self.blocks_total:
+            self._spawn_pending -= 1
+            self._spawn_block(cycle + 1)
+        self._spawn_pending = 0
 
     # ------------------------------------------------------------------
     # issue path (seed revision)
@@ -478,18 +568,6 @@ class ReferenceSMSimulator(SMSimulator):
     # ------------------------------------------------------------------
     # cycle loop (seed revision)
     # ------------------------------------------------------------------
-
-    def _release_barrier(self, block: int, cycle: int) -> None:
-        # original form: linear scan over every resident warp.  No bulk
-        # stall settlement is needed because the reference loop charges
-        # each warp one state per cycle as it goes.
-        self._barrier_arrivals[block] = 0
-        for other in self.warps:
-            if other.block_id == block and other.at_barrier:
-                other.at_barrier = False
-                other.ready_cycle = cycle + 1
-                other.wait_state = WarpState.NO_INSTRUCTION
-
     def run(self) -> EventCounters:
         """Simulate until every assigned block completes; return events."""
         c = self.counters

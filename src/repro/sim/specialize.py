@@ -1,10 +1,10 @@
-"""Program-specialized simulator backend.
+"""The compiled per-program cycle loop behind :meth:`SMSimulator.run`.
 
-The event loop (:mod:`repro.sim.sm`) is a generic interpreter: per
-issued instruction it chases opcode tables, per examined warp it walks
-attribute-heavy ``Warp`` objects.  This module instead *compiles* one
-``KernelProgram`` × ``GPUSpec`` × scheduler combination into a flat,
-closure-light Python driver function:
+A generic interpreter would chase opcode tables per issued instruction
+and walk attribute-heavy ``Warp`` objects per examined warp.  This
+module instead *compiles* one ``KernelProgram`` × ``GPUSpec`` ×
+scheduler combination into a flat, closure-light Python driver
+function:
 
 * the per-pc dispatch (kind, functional unit, operand registers,
   latencies, op-class counters) is baked into the generated source as
@@ -24,12 +24,11 @@ closure-light Python driver function:
   shapes via :meth:`AddressGenerator.access_runs` which delegates to
   the scalar methods.
 
-Bit-identity with :class:`~repro.sim.sm.SMSimulator` (and therefore
-with the frozen ``sm_reference`` oracle) is the contract, pinned by
-the golden fixture and the randomized equivalence tests.  Programs the
-specializer cannot prove it can compile are *declined* with a reason
-string and transparently fall back to the event loop (counted in the
-``sim.specialize_fallbacks`` obs metric, docs/OBSERVABILITY.md).
+Bit-identity with the frozen ``sm_reference`` oracle is the contract,
+pinned by the golden fixture and the randomized equivalence tests.
+Programs the specializer cannot prove it can compile are *declined*
+with a reason string and run on the reference scan instead (counted
+in the ``sim.specialize_fallbacks`` obs metric, docs/OBSERVABILITY.md).
 
 Compiled drivers are keyed by a sha-256 content digest of
 ``(program, spec, scheduler, hiccups on/off)`` — runtime-only knobs
@@ -41,59 +40,51 @@ skip codegen (they still re-exec the source, which is cheap).
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as _np
+
+from repro.fsutil import atomic_write_text
 from repro.isa.instruction import AccessKind
 from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.program import KernelProgram
-from repro.sim.address_gen import SECTOR_BYTES
-from repro.sim.rng import mix64
 from repro.obs.runtime import active_obs
+from repro.sim.address_gen import SECTOR_BYTES
 from repro.sim.config import SimConfig
 from repro.sim.fingerprint import content_digest
-from repro.sim.sm import SMSimulator
+from repro.sim.rng import mix64
 from repro.sim.warp import Warp
 
 if TYPE_CHECKING:
     from repro.arch.spec import GPUSpec
-
-try:  # gate, don't require: scalar fallback declines instead.
-    import numpy as _np
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is in the image
-    _np = None
-    _HAVE_NUMPY = False
+    from repro.sim.sm import SMSimulator
 
 #: bump when generated-code semantics change; part of the source key,
 #: so stale persisted drivers from older schemas can never be loaded.
 SPECIALIZE_SCHEMA = "repro/sim-specialize@6"
 
 #: hard ceilings on what we will compile.  Beyond them the generated
-#: source / per-warp tables stop paying for themselves; the event loop
-#: handles the long tail.
+#: source / per-warp tables stop paying for themselves; the reference
+#: scan handles the long tail.
 MAX_DYNAMIC_TOKENS = 1 << 16   # iterations * body length
 MAX_BODY_LEN = 512             # one leaf of generated code per pc
 MAX_REGISTER_ID = 4096         # packed scoreboard row length
 
-#: per-pc issue kinds, mirroring sm.py's _K_* (kept local so the
-#: generator does not import private names).
+#: per-pc issue kinds.
 _GLOBAL, _SHARED, _TEX, _CONST, _ALU, _BRA, _BAR, _MEMBAR, _SLEEP = range(9)
 
 _MEM_KINDS = (_GLOBAL, _SHARED, _TEX)
 
-if _HAVE_NUMPY:
-    _NP_C1 = _np.uint64(0xBF58476D1CE4E5B9)
-    _NP_C2 = _np.uint64(0x94D049BB133111EB)
-    _NP_S30 = _np.uint64(30)
-    _NP_S27 = _np.uint64(27)
-    _NP_S31 = _np.uint64(31)
-    _NP_3 = _np.uint64(3)
-    _NP_7 = _np.uint64(7)
-    _NP_11 = _np.uint64(11)
+_NP_C1 = _np.uint64(0xBF58476D1CE4E5B9)
+_NP_C2 = _np.uint64(0x94D049BB133111EB)
+_NP_S30 = _np.uint64(30)
+_NP_S27 = _np.uint64(27)
+_NP_S31 = _np.uint64(31)
+_NP_3 = _np.uint64(3)
+_NP_7 = _np.uint64(7)
+_NP_11 = _np.uint64(11)
 
 _TWO64 = 18446744073709551616.0
 
@@ -175,7 +166,7 @@ def check_supported(
 ) -> str | None:
     """``None`` when the specializer can compile the program for this
     spec/config, else a human-readable decline reason (the caller
-    falls back to the event loop)."""
+    runs the reference scan instead)."""
     nbody = len(program.body)
     if nbody == 0:
         return "empty body"
@@ -189,15 +180,12 @@ def check_supported(
         )
     units = {fu.name for fu in spec.sm.functional_units}
     max_reg = -1
-    bank_any = False
     for inst in program.body:
         if inst.dst is not None and inst.dst > max_reg:
             max_reg = inst.dst
         for r in inst.srcs:
             if r > max_reg:
                 max_reg = r
-        if len(inst.srcs) >= 2:
-            bank_any = True
         kind = _kind_of(inst)
         if kind == _ALU:
             unit = inst.opcode.fu or "ctrl"
@@ -207,13 +195,6 @@ def check_supported(
             return "BRA without branch info"
     if max_reg >= MAX_REGISTER_ID:
         return f"register id {max_reg} exceeds {MAX_REGISTER_ID - 1}"
-    if not _HAVE_NUMPY:
-        needs_rolls = (
-            config.dispatch_stall_rate > 0.0
-            or (bank_any and config.bank_conflict_rate > 0.0)
-        )
-        if needs_rolls or _fetch_miss_p(program, spec) > 0.0:
-            return "numpy unavailable for roll tables"
     return None
 
 
@@ -273,7 +254,7 @@ class _RuntimeTables:
     __slots__ = ("_sim", "_plan", "_wpb", "_chunk", "_prepared",
                  "_retained")
 
-    def __init__(self, sim: SMSimulator, plan: _Plan,
+    def __init__(self, sim: "SMSimulator", plan: _Plan,
                  driver: "_Driver | None" = None) -> None:
         self._sim = sim
         self._plan = plan
@@ -353,10 +334,11 @@ class _RuntimeTables:
             if plan.has_rolls:
                 # codes per dynamic token: 1 = bank conflict (wins),
                 # 2 = dispatch hiccup, 0 = clean — the precedence of
-                # sm.py's bank-then-dispatch roll order.  Delivered as
-                # one dict per warp of only the nonzero tokens: rolls
-                # are rare, so the driver's hot path is a single failed
-                # membership test instead of an array load per attempt.
+                # the reference's bank-then-dispatch roll order.
+                # Delivered as one dict per warp of only the nonzero
+                # tokens: rolls are rare, so the driver's hot path is a
+                # single failed membership test instead of an array
+                # load per attempt.
                 code = _np.zeros(base_g.shape, dtype=_np.int8)
                 if plan.disp_on:
                     u = _u01_np(_mix64_np(base_g ^ _NP_11))
@@ -429,15 +411,14 @@ class _RuntimeTables:
             col = []
             if kind == _CONST:
                 # constant reads probe one sector (active_threads=1 in
-                # the event loop's gen.sectors call).
+                # the reference's gen.sectors call).
                 sectors = gen.sectors
                 for wid in wids:
                     col.append([
                         sectors(wid, it, pc, 1)[0]
                         for it in range(titers)
                     ])
-            elif (_HAVE_NUMPY
-                    and gen.pattern.kind is AccessKind.RANDOM):
+            elif gen.pattern.kind is AccessKind.RANDOM:
                 # vectorized mirror of the RANDOM arm of
                 # AddressGenerator.sectors(): per-lane sector =
                 # base + mix64(hash_u64(seed', wid, it, pc) ^ lane)
@@ -480,7 +461,7 @@ class _RuntimeTables:
                             row.append(_entry(-1, n, ded, trans, wi))
                     ssum[wi] += sl
                     col.append(row)
-            elif (_HAVE_NUMPY and gen._span_ok
+            elif (gen._span_ok
                     and gen.pattern.kind in (AccessKind.STREAM,
                                              AccessKind.STRIDED)):
                 # vectorized mirror of AddressGenerator.span() for the
@@ -599,6 +580,11 @@ class _Driver:
         #: run-key -> {block_id: prepared chunk}; see _RuntimeTables.
         self.tables_cache: dict[tuple, dict[int, tuple]] = {}
 
+    def drive(self, sim: "SMSimulator") -> None:
+        """Run ``sim``'s cycle loop; counters land in its accumulators."""
+        sim._tables = _RuntimeTables(sim, self.plan, self)
+        self.fn(sim)
+
 
 #: key -> _Driver (compiled) or str (decline reason).
 _DRIVER_CACHE: dict[str, "_Driver | str"] = {}
@@ -673,21 +659,6 @@ def _compile_source(source: str, key: str):
     return ns.get("drive")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except OSError:
-        # persistence is best-effort; the in-process cache still holds
-        # the driver.
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-
-
 def driver_for(program: KernelProgram, spec: "GPUSpec",
                config: SimConfig) -> "_Driver | str":
     """Compiled driver for the combination, or a decline reason.
@@ -736,34 +707,18 @@ def driver_for(program: KernelProgram, spec: "GPUSpec",
                 f"specializer produced no drive() for {program.name!r}"
             )
         if _SOURCE_DIR is not None:
-            _atomic_write(_SOURCE_DIR / f"{key}.py", source)
+            try:
+                _SOURCE_DIR.mkdir(parents=True, exist_ok=True)
+                # a regenerable cache: crash consistency, no fsync.
+                atomic_write_text(_SOURCE_DIR / f"{key}.py", source,
+                                  durable=False)
+            except OSError:
+                # persistence is best-effort; the in-process cache still
+                # holds the driver.
+                pass
     driver = _Driver(key, plan, fn, source)
     _DRIVER_CACHE[key] = driver
     return driver
-
-
-# ----------------------------------------------------------------------
-# the backend
-# ----------------------------------------------------------------------
-class SpecializedSMSimulator(SMSimulator):
-    """:class:`SMSimulator` whose cycle loop is a compiled per-program
-    driver.  Counter-for-counter identical to the event loop; declines
-    fall back to it transparently (obs instant + fallback counter)."""
-
-    def _run_loop(self) -> None:
-        d = driver_for(self.program, self.spec, self.config)
-        if isinstance(d, str):
-            obs = active_obs()
-            if obs.metrics.enabled:
-                obs.metrics.inc("sim.specialize_fallbacks")
-            obs.tracer.instant(
-                "sim.specialize_fallback", cat="sim",
-                kernel=self.program.name, reason=d,
-            )
-            super()._run_loop()
-            return
-        self._tables = _RuntimeTables(self, d.plan, d)
-        d.fn(self)
 
 
 # ----------------------------------------------------------------------
@@ -815,12 +770,16 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
     """Compile one (program, spec, scheduler, hiccups on/off) combo to
     the source of a ``drive(sim)`` function.
 
-    The generated loop is the event loop of :mod:`repro.sim.sm` with
-    every per-program decision resolved at generation time; see the
-    module docstring for the specialization inventory.  Semantics are
-    deliberately line-for-line parallel to ``SMSimulator._run_loop``
-    and ``_attempt_issue`` — when editing either, diff against the
-    other.
+    The generated loop is an event-driven scheduler with every
+    per-program decision resolved at generation time; see the module
+    docstring for the specialization inventory.  Warps in a timed wait
+    sit in per sub-partition wake heaps and are untouched until they
+    wake, stall cycles are charged in bulk when a warp is next
+    examined, and cycles in which every warp sleeps are skipped.  Its
+    counters must equal the reference scan's
+    (``sm_reference.ReferenceSMSimulator``): classification order
+    within a cycle (sub-partition major, spawn order minor) and every
+    ``(seed, warp_id, iteration, pc)``-keyed roll are preserved.
     """
     from repro.sim.stall_reasons import WarpState
 
@@ -860,7 +819,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
     LGI = WarpState.LG_THROTTLE.idx
     TEXI = WarpState.TEX_THROTTLE.idx
     DRAINI = WarpState.DRAIN.idx
-    # scoreboard kind -> blocked-state index, sm.py's _SB_STATE.
+    # scoreboard kind (SB_FIXED / SB_LONG / SB_SHORT) -> blocked-state index.
     sbt = f"({WAITI}, {LONGI}, {SHORTI})"
     ctrl_idx = OpClass.CONTROL.idx
     barw = 1 << 60
@@ -996,22 +955,21 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
 
         ``fast`` (the default) emits the wake-collapsed form: the next
         instruction's scoreboard scan runs *now* with the cutoff at the
-        warp's park cycle.  All the quantities the event loop would
-        discover at the intermediate wake-up are already known here —
-        pend rows hold fixed completion cycles and only this warp
-        writes them — so the intermediate wake's settle/classify
-        bookkeeping is applied arithmetically, the warp parks once at
-        its final ready cycle, and ``candf`` marks it a known
-        candidate so the wake takes the exam fast path instead of the
-        classify tree.  Counter totals are cycle-for-cycle identical
+        warp's park cycle.  All the quantities an intermediate wake-up
+        would discover are already known here — pend rows hold fixed
+        completion cycles and only this warp writes them — so the
+        intermediate wake's settle/classify bookkeeping is applied
+        arithmetically, the warp parks once at its final ready cycle,
+        and ``candf`` marks it a known candidate so the wake takes the
+        exam fast path instead of the classify tree.  Counter totals are cycle-for-cycle identical
         to the uncollapsed path; only the loop-internal
         processed/skipped/wake statistics (not part of
         :class:`EventCounters`) shift.
 
-        ``fast=False`` keeps the event loop's literal two-step park —
-        required for barrier waits (a barrier release must re-scan
-        un-expired entries) and drain warps (``candf`` must stay
-        clear so the exam loop retires them)."""
+        ``fast=False`` keeps the literal two-step park (issue, then
+        wake and classify) — required for barrier waits (a barrier
+        release must re-scan un-expired entries) and drain warps
+        (``candf`` must stay clear so the exam loop retires them)."""
         if dispatch_n != 1:
             em.line("budget -= 1")
         if gto:
@@ -1045,8 +1003,8 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
             return
         # candidate parks below are pre-settled (full stall interval
         # charged now, ``stall`` seated at the wake cycle) — see
-        # emit_fail; a pooled warp's ``stall`` is never read, so the
-        # event loop's seat-at-issue write is dropped entirely.
+        # emit_fail; a pooled warp's ``stall`` is never read, so no
+        # seat-at-issue write is emitted.
         em.line("rc = rdy[s]")
         with em.blk("if rc > cycle1:"):
             em.line("pool.remove(s)")
@@ -1153,7 +1111,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
         if mode:
             # HIC[s] holds only this warp's *pending* nonzero hiccup
             # tokens; pop-on-hit is the consumed-once semantics the
-            # event loop tracks via its last-rolled-token cursor.
+            # reference tracks via ``Warp.hiccup_token``.
             # The token arithmetic folds into the (almost always
             # failing) membership test; the park is pre-settled
             # (sc += 2 covers the issue cycle and the one-cycle park,
@@ -1631,10 +1589,10 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                                 # issued: scoreboard entries only
                                 # expire, so it is still a candidate —
                                 # joins the persistent pool instead of
-                                # the per-cycle rescan the event loop
-                                # would repeat.  Its park was
-                                # pre-settled (stall seated at this
-                                # cycle), so no settle arithmetic.
+                                # being rescanned every cycle.  Its
+                                # park was pre-settled (stall seated
+                                # at this cycle), so no settle
+                                # arithmetic.
                                 em.line("insort(pool, s)")
                                 em.line("continue")
                             em.line("st0 = stall[s]")

@@ -3,8 +3,10 @@
 A :class:`Tracer` records one :class:`IssueEvent` per instruction
 issue, giving tests and debugging sessions a cycle-accurate view of
 what the scheduler did.  Tracing is opt-in (``SimConfig`` stays
-untouched): wrap the simulator with :func:`trace_kernel`, which
-installs a recording shim around ``SMSimulator._attempt_issue``.
+untouched): :func:`trace_kernel` runs the kernel on the reference scan
+(``sm_reference.ReferenceSMSimulator``), which issues one instruction
+at a time, with a recording shim around its ``_attempt_issue``.  The
+counters are bit-identical to an untraced run.
 
 Use only on small kernels — the trace grows with every dynamic
 instruction.
@@ -19,7 +21,6 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import KernelProgram, LaunchConfig
 from repro.sim.config import DEFAULT_CONFIG, SimConfig
 from repro.sim.counters import EventCounters
-from repro.sim.sm import SMSimulator
 from repro.sim.stall_reasons import WarpState
 
 
@@ -81,21 +82,32 @@ class Tracer:
         return "\n".join(lines)
 
 
-class _TracingSimulator(SMSimulator):
-    """SMSimulator that reports every issue to a tracer."""
+def trace_kernel(
+    spec: GPUSpec,
+    program: KernelProgram,
+    launch: LaunchConfig,
+    config: SimConfig = DEFAULT_CONFIG,
+    *,
+    sm_index: int = 0,
+) -> tuple[EventCounters, Tracer]:
+    """Simulate one SM with tracing enabled."""
+    # imported here so that ``import repro.sim`` stays free of the
+    # reference scan.
+    from repro.sim.sm_reference import ReferenceSMSimulator
 
-    def __init__(self, *args, tracer: Tracer, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._tracer = tracer
+    tracer = Tracer()
+    sim = ReferenceSMSimulator(spec, program, launch, config,
+                               sm_index=sm_index)
+    attempt = sim._attempt_issue
 
-    def _attempt_issue(self, warp, inst, cycle):
+    def traced_attempt(warp, inst, cycle):
         # capture pre-issue state: a successful issue advances the warp.
         pc = warp.pc
         iteration = warp.iteration
         mask = warp.active_threads
-        state = super()._attempt_issue(warp, inst, cycle)
+        state = attempt(warp, inst, cycle)
         if state is WarpState.SELECTED:
-            self._tracer.events.append(IssueEvent(
+            tracer.events.append(IssueEvent(
                 cycle=cycle,
                 warp_id=warp.warp_id,
                 smsp=warp.smsp,
@@ -106,19 +118,6 @@ class _TracingSimulator(SMSimulator):
             ))
         return state
 
-
-def trace_kernel(
-    spec: GPUSpec,
-    program: KernelProgram,
-    launch: LaunchConfig,
-    config: SimConfig = DEFAULT_CONFIG,
-    *,
-    sm_index: int = 0,
-) -> tuple[EventCounters, Tracer]:
-    """Simulate one SM with tracing enabled."""
-    tracer = Tracer()
-    sim = _TracingSimulator(
-        spec, program, launch, config, sm_index=sm_index, tracer=tracer
-    )
+    sim._attempt_issue = traced_attempt
     counters = sim.run()
     return counters, tracer

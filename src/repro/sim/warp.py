@@ -16,10 +16,10 @@ SB_SHORT = 2      # MIO producer -> SHORT_SCOREBOARD
 class Warp:
     """Mutable state of one resident warp.
 
-    ``eq=False``: warps are tracked by identity (per-block lists, wake
-    heaps), never compared field-by-field.  ``slots=True``: warp fields
-    are the hottest loads/stores in the simulator; slot descriptors
-    shave the per-access dict lookup.
+    ``eq=False``: warps are tracked by identity (per-SM and
+    per-sub-partition lists), never compared field-by-field.
+    ``slots=True``: warp fields are the hottest loads/stores in the
+    reference scan; slot descriptors shave the per-access dict lookup.
     """
 
     warp_id: int            # global id (unique across the launch)
@@ -53,23 +53,6 @@ class Warp:
     #: token (iteration*body_len + pc) of the last micro-hiccup taken, so
     #: a deterministic re-roll cannot stall the same instruction twice.
     hiccup_token: int = -1
-
-    #: spawn sequence number within the SM — ties classification order
-    #: to the seed loop's insertion order (wake-queue tie-break).
-    seq: int = 0
-    #: first cycle whose warp-state has *not* yet been charged to the
-    #: counters.  The event loop charges ``examine_cycle - stall_start``
-    #: to ``wait_state`` in bulk when the warp is next examined.
-    stall_start: int = 0
-    #: generation counter for wake-heap entries; an entry whose recorded
-    #: epoch differs from the warp's current value is stale and skipped.
-    wake_epoch: int = 0
-    #: cached ``hash_u64(seed, warp_id)`` — the shared prefix of every
-    #: pseudo-random roll this warp makes (see sm.py's hot-path rolls).
-    rng_prefix: int = 0
-    #: cached ``mix64(rng_prefix ^ iteration)`` — the per-iteration roll
-    #: prefix, refreshed when the warp wraps to a new body iteration.
-    rng_iter: int = 0
 
     def scoreboard_block(self, srcs: tuple[int, ...], dst: int | None,
                          cycle: int) -> tuple[int, int] | None:

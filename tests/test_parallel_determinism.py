@@ -135,7 +135,25 @@ class TestCrossProcessDeterminism:
         "print(sorted(vars(res.counters).items()))\n"
     )
 
-    def test_simulation_ignores_pythonhashseed(self):
+    #: the same kernel as one application, analyzed at L3 and written
+    #: as ``analyze --json`` writes it.
+    RESULT_SCRIPT = (
+        "from repro.experiments.runner import profile_application\n"
+        "from repro.io import result_to_json\n"
+        "from repro.isa import AccessKind, LaunchConfig, ProgramBuilder\n"
+        "from repro.workloads.base import Application, KernelInvocation\n"
+        "b = ProgramBuilder('gather')\n"
+        "b.pattern('x', AccessKind.RANDOM, working_set_bytes=1 << 20)\n"
+        "b.stg('x', b.ffma(b.ldg('x'), b.ldg('x')))\n"
+        "inv = KernelInvocation(b.build(iterations=4),"
+        " LaunchConfig(blocks=4, threads_per_block=128))\n"
+        "app = Application('gather', 'test', (inv,))\n"
+        "print(result_to_json(profile_application("
+        "'NVIDIA Quadro RTX 4000', app, level=3)[1]))\n"
+    )
+
+    @staticmethod
+    def _outputs_under_hash_seeds(script: str) -> list[str]:
         import os
         import subprocess
         import sys
@@ -144,10 +162,21 @@ class TestCrossProcessDeterminism:
         for hash_seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
             proc = subprocess.run(
-                [sys.executable, "-c", self.SCRIPT],
+                [sys.executable, "-c", script],
                 capture_output=True, text=True, env=env, check=True,
             )
             outputs.append(proc.stdout)
+        return outputs
+
+    def test_simulation_ignores_pythonhashseed(self):
+        outputs = self._outputs_under_hash_seeds(self.SCRIPT)
+        assert outputs[0] == outputs[1]
+
+    def test_result_json_ignores_pythonhashseed(self):
+        """``result_to_json`` bytes, key order included: the roll-up
+        must not iterate a set of hierarchy nodes."""
+        outputs = self._outputs_under_hash_seeds(self.RESULT_SCRIPT)
+        assert '"schema": "repro/topdown-result@1"' in outputs[0]
         assert outputs[0] == outputs[1]
 
     def test_stable_str_hash_is_pinned(self):

@@ -224,3 +224,42 @@ class TestIntrospection:
                 assert payload["counters"]["service.submitted"] == 1
                 assert payload["counters"]["service.jobs_done"] == 1
             manager.drain(timeout_s=10)
+
+
+class TestDaemonLifecycle:
+    def test_sigterm_handler_installed_before_port_is_published(
+        self, tmp_path, monkeypatch
+    ):
+        """A supervisor may send SIGTERM the moment the port file
+        appears: the drain handler must already be installed, or the
+        default action kills the daemon without draining."""
+        import signal
+
+        from repro.cli import build_parser
+        from repro.service import daemon
+
+        seen = []
+        real_write = daemon.atomic_write_text
+
+        def publish(path, text, **kwargs):
+            handler = signal.getsignal(signal.SIGTERM)
+            seen.append(handler)
+            if not callable(handler):
+                raise AssertionError(
+                    f"SIGTERM handler is {handler!r} when the port file "
+                    "is written"
+                )
+            handler(signal.SIGTERM, None)  # the supervisor's SIGTERM
+            real_write(path, text, **kwargs)
+
+        monkeypatch.setattr(daemon, "atomic_write_text", publish)
+        port_file = tmp_path / "port"
+        args = build_parser().parse_args([
+            "serve", "--state-dir", str(tmp_path / "state"),
+            "--port-file", str(port_file), "--workers", "1",
+        ])
+        before = signal.getsignal(signal.SIGTERM)
+        assert daemon.run_serve(args) == daemon.EXIT_CLEAN
+        assert len(seen) == 1 and callable(seen[0])
+        assert int(port_file.read_text()) > 0
+        assert signal.getsignal(signal.SIGTERM) is before

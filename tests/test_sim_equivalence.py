@@ -1,12 +1,12 @@
-"""Bit-identity proof for the event-driven cycle loop.
+"""Bit-identity proof for the compiled SM cycle loop.
 
-Three layers of evidence that the wake-queue scheduler in
-``repro.sim.sm`` is counter-for-counter identical to the per-cycle
-scan it replaced:
+Three layers of evidence that :meth:`repro.sim.sm.SMSimulator.run` —
+the per-program driver of :mod:`repro.sim.specialize` — is
+counter-for-counter identical to the per-cycle scan it replaced:
 
 1. a golden fixture (``tests/data/golden_sim_counters.json``) produced
-   by the pre-event-loop implementation — every bundled suite on both
-   paper GPUs must still reproduce it bit for bit;
+   by the seed scan — every bundled suite on both paper GPUs must
+   still reproduce it bit for bit, with no app declined;
 2. randomized kernels compared live against the frozen seed loop
    (:class:`~repro.sim.sm_reference.ReferenceSMSimulator`), which pins
    the scan *and* the seed memory-model/address-gen/scoreboard helpers;
@@ -29,7 +29,7 @@ from repro.arch import get_gpu
 from repro.io.counters_json import counters_from_doc, counters_to_doc
 from repro.isa import AccessKind, LaunchConfig, ProgramBuilder
 from repro.lint import bundled_suites
-from repro.sim import SimConfig
+from repro.sim import DEFAULT_BACKEND, SimConfig
 from repro.sim.counters import EventCounters
 from repro.sim.sm import SMSimulator
 from repro.sim.sm_reference import ReferenceSMSimulator
@@ -45,15 +45,15 @@ def _assert_identical(live: EventCounters, ref: EventCounters,
                       label: str) -> None:
     if counters_to_doc(live) != counters_to_doc(ref):
         detail = "\n".join(live.diff(ref)) or "(doc-level difference)"
-        pytest.fail(f"{label}: event loop diverged from reference\n{detail}")
+        pytest.fail(f"{label}: driver diverged from reference\n{detail}")
 
 
 # ----------------------------------------------------------------------
-# 1. golden fixture: every bundled suite, both paper GPUs, both live
-#    backends (the specialized driver must not fall back on any
-#    bundled app — a fallback would quietly re-test the event loop)
+# 1. golden fixture: every bundled suite, both paper GPUs, the default
+#    backend (the specializer must not decline any bundled app — a
+#    decline would quietly re-test the reference scan against itself)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["event", "specialized"])
+@pytest.mark.parametrize("backend", [DEFAULT_BACKEND])
 @pytest.mark.parametrize("gpu", GPUS)
 def test_golden_counters_all_suites(gpu, backend):
     from repro.sim.backend import simulator_class
@@ -70,10 +70,9 @@ def test_golden_counters_all_suites(gpu, backend):
         for app in suite.applications:
             merged = EventCounters()
             for inv in app.invocations:
-                if backend == "specialized":
-                    assert check_supported(
-                        inv.program, spec, config
-                    ) is None, f"{app.name}: bundled app declined"
+                assert check_supported(
+                    inv.program, spec, config
+                ) is None, f"{app.name}: bundled app declined"
                 sim = sim_cls(spec, inv.program, inv.launch, config)
                 merged.merge(sim.run())
             if counters_to_doc(merged) != apps_doc[app.name]:
@@ -83,7 +82,7 @@ def test_golden_counters_all_suites(gpu, backend):
                 ) or "(doc-level difference)"
                 pytest.fail(
                     f"{gpu}/{sname}/{app.name}: counters diverged from "
-                    f"the pre-event-loop golden fixture\n{detail}"
+                    f"the seed-scan golden fixture\n{detail}"
                 )
             checked += 1
     # the fixture covers every bundled app; a silently shrunken suite
@@ -195,7 +194,7 @@ def test_loop_statistics_cover_every_active_cycle():
     assert sim._processed_cycles + sim._skipped_cycles == (
         counters.cycles_active
     )
-    # an event-driven run of a memory-heavy kernel must actually skip
+    # the driver's run of a memory-heavy kernel must actually skip
     # cycles — otherwise the wake queues are not doing their job.
     assert sim._skipped_cycles > 0
     assert sim._wake_events > 0

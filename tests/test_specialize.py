@@ -8,7 +8,7 @@ file pins the *correctness* half of the contract:
   silently fall back on — every shape it claims to support);
 * the numpy-vectorized roll tables match the scalar SplitMix64 path
   bit for bit;
-* declined programs fall back to the event loop transparently, with
+* declined programs run on the reference scan transparently, with
   the fallback visible in observability;
 * the driver cache (in-process + persisted source) and the per-run
   table cache behave: hits/misses counted, corrupt persisted sources
@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import get_gpu
+from repro.errors import UsageError
 from repro.io.counters_json import counters_to_doc
 from repro.isa import AccessKind, LaunchConfig, ProgramBuilder
 from repro.obs.runtime import obs_context
@@ -41,8 +42,7 @@ from repro.sim.rng import mix64
 from repro.sim.sm import SMSimulator
 from repro.sim.sm_reference import ReferenceSMSimulator
 from repro.sim.specialize import (
-    MAX_DYNAMIC_TOKENS,
-    SpecializedSMSimulator,
+    MAX_BODY_LEN,
     check_supported,
     clear_driver_cache,
     driver_for,
@@ -120,8 +120,7 @@ def test_directed_cases_match_reference(kernel, scheduler):
             kw = dict(blocks_assigned=blocks)
             ref = _run(ReferenceSMSimulator, program, launch, config,
                        **kw)
-            spz = _run(SpecializedSMSimulator, program, launch, config,
-                       **kw)
+            spz = _run(SMSimulator, program, launch, config, **kw)
             _assert_identical(
                 spz, ref, f"{kernel}/{scheduler}/s{seed}/{blocks}x{tpb}"
             )
@@ -143,7 +142,7 @@ def test_random_kernels_match_reference(program, blocks, tpb, scheduler,
     # every generated shape must be *accepted*: a silent fallback here
     # would make the equivalence claim vacuous.
     assert check_supported(program, SPEC, config) is None
-    spz = _run(SpecializedSMSimulator, program, launch, config,
+    spz = _run(SMSimulator, program, launch, config,
                blocks_assigned=blocks)
     ref = _run(ReferenceSMSimulator, program, launch, config,
                blocks_assigned=blocks)
@@ -151,13 +150,13 @@ def test_random_kernels_match_reference(program, blocks, tpb, scheduler,
     spz.validate()
 
 
-def test_shared_l2_serial_path_matches_event_loop():
+def test_shared_l2_serial_path_matches_reference():
     """share_l2 launches take the serial path; the inline L1/L2 probe
-    must mutate the *shared* cache exactly like the event loop."""
+    must mutate the *shared* cache exactly like the reference scan."""
     program = _divergence_kernel()
     launch = LaunchConfig(blocks=6, threads_per_block=128)
     docs = []
-    for backend in ("event", "specialized"):
+    for backend in ("reference", "specialized"):
         with backend_context(backend):
             config = SimConfig(seed=3, share_l2=True, simulated_sms=2)
             result = GPUSimulator(SPEC, config).launch_uncached(
@@ -186,28 +185,36 @@ def test_numpy_rolls_bit_identical_to_scalar():
 
 
 # ----------------------------------------------------------------------
-# fallback: declined programs run the event loop, visibly
+# fallback: declined programs run on the reference scan, visibly
 # ----------------------------------------------------------------------
 def _oversized_kernel():
+    """One instruction past MAX_BODY_LEN, two iterations: declined,
+    yet cheap on the reference scan."""
     b = ProgramBuilder("oversized")
     b.pattern("x", AccessKind.STRIDED, working_set_bytes=1 << 20,
               stride_elements=1)
     r = b.ldg("x")
+    for _ in range(MAX_BODY_LEN - 1):
+        r = b.ffma(r, r)
     b.stg("x", r)
-    return b.build(iterations=MAX_DYNAMIC_TOKENS)
+    return b.build(iterations=2)
 
 
 def test_declined_program_falls_back_bit_identical():
     program = _oversized_kernel()
-    launch = LaunchConfig(blocks=1, threads_per_block=32)
-    config = SimConfig(seed=0, max_cycles=50_000_000)
+    assert len(program.body) == MAX_BODY_LEN + 1
+    launch = LaunchConfig(blocks=2, threads_per_block=64)
+    config = SimConfig(seed=0)
     reason = check_supported(program, SPEC, config)
-    assert reason is not None and "dynamic length" in reason
+    assert reason is not None and "body length" in reason
     with obs_context(enabled=True) as obs:
-        spz = _run(SpecializedSMSimulator, program, launch, config)
+        sim = SMSimulator(SPEC, program, launch, config)
+        counters = sim.run()
+        assert sim.counters is counters
         assert obs.metrics.counter("sim.specialize_fallbacks") == 1
-    event = _run(SMSimulator, program, launch, config)
-    assert counters_to_doc(spz) == counters_to_doc(event)
+    ref = _run(ReferenceSMSimulator, program, launch, config)
+    assert counters_to_doc(counters) == counters_to_doc(ref)
+    counters.validate()
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +244,7 @@ def test_source_persistence_roundtrip(tmp_path):
     clear_driver_cache()
     try:
         with source_dir(tmp_path):
-            first = _run(SpecializedSMSimulator, program, launch, config)
+            first = _run(SMSimulator, program, launch, config)
             assert path.is_file(), "generated source not persisted"
             text = path.read_text(encoding="utf-8")
 
@@ -245,23 +252,21 @@ def test_source_persistence_roundtrip(tmp_path):
             # cache) loads the persisted source instead of re-running
             # codegen, bit-identically.
             clear_driver_cache()
-            again = _run(SpecializedSMSimulator, program, launch, config)
+            again = _run(SMSimulator, program, launch, config)
             assert counters_to_doc(again) == counters_to_doc(first)
 
             # a corrupt persisted source (truncated write, not valid
             # python) is regenerated, not trusted.
             path.write_text("def drive(sim:\n    (", encoding="utf-8")
             clear_driver_cache()
-            healed = _run(SpecializedSMSimulator, program, launch,
-                          config)
+            healed = _run(SMSimulator, program, launch, config)
             assert counters_to_doc(healed) == counters_to_doc(first)
             assert path.read_text(encoding="utf-8") == text
 
             # ...as is one that parses but lacks the entry point.
             path.write_text("x = 1\n", encoding="utf-8")
             clear_driver_cache()
-            healed = _run(SpecializedSMSimulator, program, launch,
-                          config)
+            healed = _run(SMSimulator, program, launch, config)
             assert counters_to_doc(healed) == counters_to_doc(first)
             assert path.read_text(encoding="utf-8") == text
     finally:
@@ -274,11 +279,11 @@ def test_runtime_table_cache_reused_across_runs():
     config = SimConfig(seed=5)
     clear_driver_cache()
     try:
-        first = _run(SpecializedSMSimulator, program, launch, config)
+        first = _run(SMSimulator, program, launch, config)
         driver = driver_for(program, SPEC, config)
         assert driver.tables_cache, "per-run table cache not populated"
         keys = set(driver.tables_cache)
-        again = _run(SpecializedSMSimulator, program, launch, config)
+        again = _run(SMSimulator, program, launch, config)
         assert set(driver.tables_cache) == keys
         assert counters_to_doc(again) == counters_to_doc(first)
     finally:
@@ -290,9 +295,9 @@ def test_runtime_table_cache_reused_across_runs():
 # ----------------------------------------------------------------------
 def test_backend_selection_and_factory():
     assert current_backend() == DEFAULT_BACKEND == "specialized"
-    assert simulator_class("event") is SMSimulator
+    assert BACKENDS == ("specialized", "reference")
     assert simulator_class("reference") is ReferenceSMSimulator
-    assert simulator_class("specialized") is SpecializedSMSimulator
+    assert simulator_class("specialized") is SMSimulator
     with backend_context("reference"):
         assert current_backend() == "reference"
         program = _constant_kernel()
@@ -302,16 +307,17 @@ def test_backend_selection_and_factory():
         )
         assert type(sim) is ReferenceSMSimulator
     assert current_backend() == DEFAULT_BACKEND
-    with pytest.raises(Exception):
-        set_backend("no-such-backend")
+    for name in ("no-such-backend", "event"):
+        with pytest.raises(UsageError):
+            set_backend(name)
 
 
 def test_engine_context_threads_backend_and_source_dir(tmp_path):
     from repro.sim import specialize
     from repro.sim.engine import engine_context
 
-    with engine_context(jobs=1, cache_dir=tmp_path, backend="event"):
-        assert current_backend() == "event"
+    with engine_context(jobs=1, cache_dir=tmp_path, backend="reference"):
+        assert current_backend() == "reference"
         assert specialize._SOURCE_DIR == tmp_path / "specialized"
     assert current_backend() == DEFAULT_BACKEND
     assert specialize._SOURCE_DIR is None
@@ -320,9 +326,30 @@ def test_engine_context_threads_backend_and_source_dir(tmp_path):
 def test_cli_backend_flag_parses():
     from repro.cli import build_parser
 
-    args = build_parser().parse_args(["analyze", "--backend", "event"])
-    assert args.backend == "event"
+    args = build_parser().parse_args(["analyze", "--backend", "reference"])
+    assert args.backend == "reference"
     assert build_parser().parse_args(["analyze"]).backend is None
+    # the retired event loop is no longer a choice: argparse exits 2.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["analyze", "--backend", "event"])
+    assert excinfo.value.code == 2
     for name in BACKENDS:
         parsed = build_parser().parse_args(["analyze", "--backend", name])
         assert parsed.backend == name
+
+
+def test_import_repro_sim_stays_lazy():
+    """``import repro.sim`` loads neither the specializer (nor numpy)
+    nor the reference scan: each is imported on first use."""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "import repro.sim\n"
+        "print(sorted(m for m in ('numpy', 'repro.sim.specialize',"
+        " 'repro.sim.sm_reference') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

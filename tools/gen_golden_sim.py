@@ -5,17 +5,19 @@ through the simulator (serial, ``SimConfig(seed=0)``, one SM) and
 writes the merged per-application counters to
 ``tests/data/golden_sim_counters.json``.
 
-The committed fixture was produced by the **pre-event-loop** scan
-implementation (PR 5 seed state); ``tests/test_sim_equivalence.py``
-asserts the current loop still reproduces it bit for bit.  Regenerate
-only when the simulated *semantics* change deliberately — that is a
-counter-breaking change and must also retire every persistent result
-cache (see docs/PERFORMANCE.md).
+The committed fixture was produced by the seed revision's per-cycle
+scan; ``tests/test_sim_equivalence.py`` asserts the compiled driver
+still reproduces it bit for bit.  Regenerate only when the simulated
+*semantics* change deliberately — that is a counter-breaking change
+and must also retire every persistent result cache (see
+docs/PERFORMANCE.md).
 
-``--backend`` selects the cycle-loop implementation (event by
-default); since all backends are bit-identical, regenerating under a
-different backend must produce a byte-identical file — CI exploits
-that as an end-to-end equivalence check.
+``--backend`` selects the cycle-loop implementation (``specialized``,
+the compiled driver, by default; ``reference``, the frozen seed scan,
+takes a few minutes).  Since both backends are bit-identical,
+regenerating under either must produce a byte-identical file — CI
+exploits that as an end-to-end equivalence check of the driver *and*
+the oracle.
 
 Usage::
 
@@ -56,9 +58,9 @@ def app_counters(spec, app, config: SimConfig, sim_cls) -> EventCounters:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--backend", default="event", choices=list(BACKENDS),
-        help="cycle-loop implementation to generate with (all are "
-             "bit-identical; default: event)",
+        "--backend", default="specialized", choices=list(BACKENDS),
+        help="cycle-loop implementation to generate with (both are "
+             "bit-identical; default: specialized)",
     )
     args = parser.parse_args()
     sim_cls = simulator_class(args.backend)
