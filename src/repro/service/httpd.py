@@ -61,6 +61,11 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     server_version = "gpu-topdown-service/1"
     protocol_version = "HTTP/1.1"
+    # a response goes out as two writes (headers, then body).  On a
+    # kept-alive connection Nagle's algorithm holds the body until the
+    # client ACKs the headers, which a delayed ACK postpones by ~40 ms
+    # per request.  TCP_NODELAY sends the body without waiting.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 — stdlib signature

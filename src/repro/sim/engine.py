@@ -5,10 +5,11 @@ The simulator is deterministic: a kernel execution is a pure function
 of ``(program, launch, spec, config)``.  That makes the two classic
 profiling-pipeline optimizations safe to apply aggressively:
 
-* **never recompute** — results are memoized in memory and (optionally)
-  persisted on disk under their content fingerprint, so replay passes,
-  repeated CLI runs and whole experiment regenerations skip simulation
-  entirely (:mod:`repro.sim.result_cache`);
+* **never recompute** — results are memoized in memory for the whole
+  :func:`engine_context` block and (optionally) persisted on disk
+  under their content fingerprint, so replay passes, the stages of one
+  experiment regeneration, repeated CLI runs and whole regenerations
+  skip simulation entirely (:mod:`repro.sim.result_cache`);
 * **fan out** — independent simulation units (distinct kernel launches
   of an application, experiment cells, the per-SM runs of one launch)
   execute on a process pool, with results merged back in submission
@@ -26,9 +27,13 @@ can complete in degraded mode instead of aborting.  Named fault sites
 exercise all of this reproducibly.
 
 One :class:`ExecutionEngine` is active at a time.  The default engine
-is a serial pass-through (no pool, no persistence) that preserves the
-library's historical behaviour; CLI entry points install a configured
-engine via :func:`engine_context` (``--jobs/--cache-dir/--no-cache``).
+is a serial pass-through (no pool, no persistence, no memo) that
+preserves the library's historical behaviour and grows no
+process-lifetime state; CLI entry points install a configured engine
+via :func:`engine_context` (``--jobs/--cache-dir/--no-cache``), and
+every such engine memoizes results by content key whatever its
+``jobs`` and cache — so a serial, store-less run simulates each
+distinct cell once, exactly like a parallel one.
 
 Parallel-safety note (``share_l2``): when
 :attr:`~repro.sim.config.SimConfig.share_l2` is set, the simulated SMs
@@ -208,6 +213,7 @@ class ExecutionEngine:
         jobs: int = 1,
         cache: SimResultCache | None = None,
         retry: RetryPolicy | None = None,
+        memo: bool = True,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1 (resolve 0/auto first)")
@@ -216,11 +222,12 @@ class ExecutionEngine:
         self.retry = retry if retry is not None else RetryPolicy()
         self.stats = EngineStats()
         self.health = RunHealth()
-        # content-addressed in-process memo.  Enabled only for
-        # configured engines: the pass-through default must not grow
-        # process-lifetime state behind the caller's back.
+        # content-addressed in-process memo, alive as long as the
+        # engine: one engine_context block, whatever jobs and cache.
+        # Only the pass-through default turns it off — it must not
+        # grow process-lifetime state behind the caller's back.
         self._memo: "dict[str, KernelSimResult] | None" = (
-            {} if (jobs > 1 or cache is not None) else None
+            {} if memo else None
         )
         # cells that exhausted their retry budget: key -> (label, reason).
         # Hitting one again raises immediately instead of re-retrying.
@@ -503,14 +510,18 @@ class ExecutionEngine:
         return resolved
 
     # -- single-kernel entry (used by GPUSimulator.launch) ---------------
-    def simulate(self, spec, program, launch, config) -> "KernelSimResult":
+    def simulate(self, spec, program, launch, config,
+                 key: str | None = None) -> "KernelSimResult":
         """Return the result for one launch, via memo/disk when possible.
 
-        Raises :class:`~repro.errors.QuarantineError` when the cell
-        exhausted its retry budget (now or earlier in this engine's
-        lifetime).
+        ``key`` is the launch's :func:`sim_fingerprint` when the caller
+        already computed it (:meth:`GPUSimulator.launch` does), so the
+        same launch is not hashed twice.  Raises
+        :class:`~repro.errors.QuarantineError` when the cell exhausted
+        its retry budget (now or earlier in this engine's lifetime).
         """
-        key = sim_fingerprint(program, launch, spec, config)
+        if key is None:
+            key = sim_fingerprint(program, launch, spec, config)
         return self._resolve(key, (spec, program, launch, config))
 
     def _resolve(self, key: str, item) -> "KernelSimResult":
@@ -734,9 +745,10 @@ class ExecutionEngine:
             return
         s = self.stats
         obs.metrics.inc("engine.sim_cells", s.sim_calls)
-        # memo hits depend on pool shape (the parallel prewarm resolves
-        # duplicate invocations through the engine memo; the serial path
-        # reuses them a layer up), so they are a gauge, not a counter.
+        # memo hits depend on pool shape (a parallel engine prewarms
+        # each batch's distinct cells, so every later launch of them
+        # is a hit; a serial engine simulates on the first launch, a
+        # miss), so they are a gauge, not a counter.
         obs.metrics.set_gauge("engine.memo_hits", s.memo_hits)
         obs.metrics.set_gauge("engine.jobs", self.jobs)
         obs.metrics.set_gauge("engine.parallel_batches", s.batch_count)
@@ -794,7 +806,7 @@ def current_engine() -> ExecutionEngine:
         return _ACTIVE[-1]
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = ExecutionEngine()
+        _DEFAULT_ENGINE = ExecutionEngine(memo=False)
     return _DEFAULT_ENGINE
 
 
@@ -865,6 +877,8 @@ def engine_context(
 ) -> Iterator[ExecutionEngine]:
     """Install a configured engine for the duration of the block.
 
+    The engine memoizes every result by content key until the block
+    exits, so each distinct cell is simulated at most once per block.
     ``faults`` is a fault-injection spec string (see
     :mod:`repro.resilience.faults`); it is installed around the engine
     so pool workers inherit it.  ``retries``/``deadline_s`` configure

@@ -18,6 +18,17 @@ order, with the class name mixed in), lowers enums to ``ClassName.NAME``
 and renders the result as compact sorted-key JSON.  Every type the
 simulator's input dataclasses use is covered; anything else is a hard
 error rather than a silently unstable ``repr``.
+
+Encoding an input is most of a key's cost, and the same long-lived
+program/launch/spec/config objects are keyed over and over (once per
+replay pass, engine lookup and driver lookup).  So the canonical JSON
+fragment of each of those four frozen input types is computed once
+per *object* and kept in an identity memo; the payload is the same
+bytes ``json.dumps`` would produce for the whole tuple, so keys do not
+depend on the memo.  An entry lives exactly as long as its object: a
+weak reference's callback drops it, and a lookup also checks that the
+reference still points at the object asking, so a recycled ``id()``
+can never serve another object's fragment.
 """
 
 from __future__ import annotations
@@ -26,10 +37,23 @@ import dataclasses
 import enum
 import hashlib
 import json
+import weakref
+from functools import partial
 from typing import Any
+
+from repro.arch.spec import GPUSpec
+from repro.isa.program import KernelProgram, LaunchConfig
+from repro.sim.config import SimConfig
 
 #: bump when the encoding (not the simulator) changes incompatibly.
 FINGERPRINT_SCHEMA = "repro/sim-fingerprint@1"
+_SCHEMA_JSON = json.dumps(FINGERPRINT_SCHEMA)
+
+#: frozen input types whose fragments are memoized per object.
+_MEMOIZED_TYPES = (KernelProgram, LaunchConfig, GPUSpec, SimConfig)
+
+#: id(obj) -> (weak reference to obj, canonical JSON fragment of obj).
+_FRAGMENTS: dict[int, tuple[weakref.ref, str]] = {}
 
 
 def canonicalize(obj: Any) -> Any:
@@ -59,12 +83,40 @@ def canonicalize(obj: Any) -> Any:
     )
 
 
+def _dumps(data: Any) -> str:
+    return json.dumps(data, separators=(",", ":"), sort_keys=True)
+
+
+def _forget(key: int, ref: weakref.ref) -> None:
+    """Weak-reference callback: drop ``key`` if ``ref`` still owns it."""
+    entry = _FRAGMENTS.get(key)
+    if entry is not None and entry[0] is ref:
+        del _FRAGMENTS[key]
+
+
+def _fragment(part: Any) -> str:
+    """Canonical JSON text of one key part, memoized for frozen inputs."""
+    if type(part) not in _MEMOIZED_TYPES:
+        return _dumps(canonicalize(part))
+    key = id(part)
+    entry = _FRAGMENTS.get(key)
+    if entry is not None and entry[0]() is part:
+        return entry[1]
+    text = _dumps(canonicalize(part))
+    _FRAGMENTS[key] = (weakref.ref(part, partial(_forget, key)), text)
+    return text
+
+
 def content_digest(*parts: Any) -> str:
-    """SHA-256 hex digest of the canonical encoding of ``parts``."""
-    payload = json.dumps(
-        [FINGERPRINT_SCHEMA, [canonicalize(p) for p in parts]],
-        separators=(",", ":"),
-        sort_keys=True,
+    """SHA-256 hex digest of the canonical encoding of ``parts``.
+
+    The payload equals ``json.dumps([FINGERPRINT_SCHEMA, [canonicalize(p)
+    for p in parts]], separators=(",", ":"), sort_keys=True)`` byte for
+    byte: compact JSON of a list is its items' compact JSON joined by
+    commas, so it can be assembled from per-part fragments.
+    """
+    payload = (
+        f"[{_SCHEMA_JSON},[{','.join(_fragment(p) for p in parts)}]]"
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -84,7 +84,7 @@ class GPUSimulator:
         from repro.sim.engine import current_engine
 
         result = current_engine().simulate(
-            self.spec, program, launch, self.config
+            self.spec, program, launch, self.config, key=key
         )
         self._cache[key] = result
         return result

@@ -594,37 +594,19 @@ _DRIVER_CACHE: dict[str, "_Driver | str"] = {}
 _SOURCE_DIR: Path | None = None
 
 
-#: identity memo for :func:`specialization_key` — the sha-256 digest
-#: costs a fraction of a millisecond and would otherwise be recomputed
-#: once per SM run of the same (typically long-lived) program/spec
-#: objects.  Values hold strong references so the ids cannot be reused.
-_KEY_MEMO: dict[tuple, tuple[KernelProgram, object, str]] = {}
-_KEY_MEMO_MAX = 4096
-
-
 def specialization_key(program: KernelProgram, spec: "GPUSpec",
                        config: SimConfig) -> str:
     """Content key of the *generated code*: program, spec and the
     config facts that shape codegen (scheduler policy, whether hiccup
     rolls exist at all).  Seed, rate values, max_cycles and residency
-    are runtime inputs of the driver, not of the code."""
-    memo_key = (
-        id(program), id(spec), config.scheduler,
-        config.bank_conflict_rate > 0.0,
-        config.dispatch_stall_rate > 0.0,
-    )
-    hit = _KEY_MEMO.get(memo_key)
-    if hit is not None and hit[0] is program and hit[1] is spec:
-        return hit[2]
-    key = content_digest(
+    are runtime inputs of the driver, not of the code.  The program
+    and spec encodings come from the fingerprint module's per-object
+    memo, so re-keying a long-lived program per SM run is cheap."""
+    return content_digest(
         SPECIALIZE_SCHEMA, program, spec, config.scheduler,
         config.bank_conflict_rate > 0.0,
         config.dispatch_stall_rate > 0.0,
     )
-    if len(_KEY_MEMO) >= _KEY_MEMO_MAX:
-        _KEY_MEMO.clear()
-    _KEY_MEMO[memo_key] = (program, spec, key)
-    return key
 
 
 def configure_source_dir(path: "Path | str | None") -> Path | None:
@@ -649,7 +631,6 @@ def source_dir(path: "Path | str | None"):
 def clear_driver_cache() -> None:
     """Drop the in-process driver cache (tests)."""
     _DRIVER_CACHE.clear()
-    _KEY_MEMO.clear()
 
 
 def _compile_source(source: str, key: str):

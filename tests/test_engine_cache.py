@@ -1,9 +1,12 @@
-"""Content fingerprints, the aliasing regression, and the persistent
+"""Content fingerprints (unchanged by the per-object key memo), the
+run-scoped engine memo, the aliasing regression, and the persistent
 simulation-result cache (write → reload → identical, corruption → miss).
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
 
 import pytest
@@ -12,18 +15,24 @@ from repro.arch import get_gpu
 from repro.core.analyzer import TopDownAnalyzer
 from repro.core.tables import metric_names_for_level
 from repro.errors import SimulationError
+from repro.experiments.runner import PAPER_GPUS, profile_application
 from repro.io.counters_json import counters_from_doc, counters_to_doc
 from repro.isa import AccessKind, LaunchConfig, ProgramBuilder
+from repro.lint import bundled_suites
 from repro.profilers import tool_for
 from repro.sim import (
     DEFAULT_CONFIG,
     GPUSimulator,
     SimConfig,
     SimResultCache,
+    current_engine,
     engine_context,
+    fingerprint,
     sim_fingerprint,
 )
+from repro.sim.fingerprint import FINGERPRINT_SCHEMA, canonicalize
 from repro.sim.result_cache import RESULT_SCHEMA
+from repro.sim.specialize import SPECIALIZE_SCHEMA, specialization_key
 
 from tests.conftest import build_stream_kernel
 
@@ -73,6 +82,106 @@ class TestFingerprint:
         assert sim_fingerprint(
             prog, LAUNCH, turing, SimConfig(seed=1)
         ) != base
+
+
+def _seed_formula(*parts) -> str:
+    """The key encoding as first written: one ``json.dumps`` of the
+    whole canonicalized tuple, no per-object memo.  Persisted stores
+    and driver sources were keyed this way, so every key must still
+    equal it byte for byte."""
+    payload = json.dumps(
+        [FINGERPRINT_SCHEMA, [canonicalize(p) for p in parts]],
+        separators=(",", ":"),
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _bundled_invocations():
+    return [
+        inv
+        for suite in bundled_suites().values()
+        for app in suite
+        for inv in app.invocations
+    ]
+
+
+class TestKeysUnchanged:
+    """The per-object fragment memo must not change a single key."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("gpu", PAPER_GPUS)
+    def test_sim_fingerprint_equals_seed_formula(self, gpu, seed):
+        spec = get_gpu(gpu)
+        config = SimConfig(seed=seed)
+        for inv in _bundled_invocations():
+            parts = (inv.program, inv.launch, spec, config)
+            # twice: the first call fills the memo, the second reads it.
+            for _ in range(2):
+                assert sim_fingerprint(*parts) == _seed_formula(*parts), \
+                    inv.name
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("gpu", PAPER_GPUS)
+    def test_specialization_key_equals_seed_formula(self, gpu, seed):
+        spec = get_gpu(gpu)
+        config = SimConfig(seed=seed)
+        for inv in _bundled_invocations():
+            expected = _seed_formula(
+                SPECIALIZE_SCHEMA, inv.program, spec, config.scheduler,
+                config.bank_conflict_rate > 0.0,
+                config.dispatch_stall_rate > 0.0,
+            )
+            assert specialization_key(inv.program, spec, config) == \
+                expected, inv.name
+
+    def test_memo_entry_dies_with_its_program(self, turing):
+        prog = _kernel("short_lived")
+        sim_fingerprint(prog, LAUNCH, turing, DEFAULT_CONFIG)
+        prog_id = id(prog)
+        assert fingerprint._FRAGMENTS[prog_id][0]() is prog
+        del prog
+        gc.collect()
+        assert prog_id not in fingerprint._FRAGMENTS
+
+    def test_memo_never_serves_a_stale_fragment(self, turing):
+        """Even an entry whose object died unnoticed (same id, another
+        object) is re-encoded, not trusted."""
+        prog = _kernel(working_set=1 << 14)
+        other = _kernel(working_set=1 << 22)
+        sim_fingerprint(prog, LAUNCH, turing, DEFAULT_CONFIG)
+        # plant prog's entry under other's id, as a recycled id would.
+        fingerprint._FRAGMENTS[id(other)] = fingerprint._FRAGMENTS[id(prog)]
+        assert sim_fingerprint(other, LAUNCH, turing, DEFAULT_CONFIG) == \
+            _seed_formula(other, LAUNCH, turing, DEFAULT_CONFIG)
+
+
+# ---------------------------------------------------------------------------
+# the run-scoped engine memo
+# ---------------------------------------------------------------------------
+
+class TestRunScopedMemo:
+    def test_serial_engine_simulates_each_distinct_cell_once(self, turing):
+        app = bundled_suites()["rodinia"].get("gaussian")
+        config = SimConfig(seed=0)
+        distinct = {
+            sim_fingerprint(inv.program, inv.launch, turing, config)
+            for inv in app.invocations
+        }
+        assert len(distinct) < len(app.invocations)  # has duplicates
+        with engine_context(jobs=1) as engine:
+            first = profile_application(turing, app, level=1)
+            second = profile_application(turing, app, level=1)
+            assert engine.stats.sim_calls == len(distinct)
+        assert first[1].values == second[1].values
+
+    def test_default_engine_keeps_no_memo(self, turing):
+        engine = current_engine()
+        before = engine.stats.sim_calls
+        for _ in range(2):
+            GPUSimulator(turing).launch(_kernel("uncached"), LAUNCH)
+        assert engine.stats.sim_calls == before + 2
+        assert engine.stats.memo_hits == 0
 
 
 # ---------------------------------------------------------------------------

@@ -213,3 +213,33 @@ class TestGenerateAllObservability:
         health = (out / "RUNHEALTH.txt").read_text()
         assert "self-profile: wall" in health
         assert "self-overhead:" in health
+
+    def test_counters_and_bundle_identical_across_jobs(
+        self, tmp_path, capsys
+    ):
+        """The counters contract holds for a whole bundle: `-j 1` and
+        `-j 2` must both simulate each distinct cell once, however many
+        stages ask for it, and write the same artifacts."""
+        from repro.experiments.generate_all import main as gen_main
+
+        runs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"bundle-j{jobs}"
+            metrics = tmp_path / f"metrics-j{jobs}.json"
+            rc = gen_main(["--output", str(out), "--srad-invocations", "4",
+                           "-j", jobs, "--metrics-out", str(metrics)])
+            assert rc == 0
+            runs[jobs] = (out, json.loads(metrics.read_text())["counters"])
+        (serial_out, serial), (parallel_out, parallel) = runs["1"], runs["2"]
+        # the one documented exception: per-process driver-cache lookups.
+        for counters in (serial, parallel):
+            counters.pop("sim.specialize_hits", None)
+            counters.pop("sim.specialize_misses", None)
+        assert serial == parallel
+        assert serial["engine.sim_cells"] == serial["sim.cells_executed"]
+        names = sorted(p.name for p in serial_out.iterdir())
+        assert names == sorted(p.name for p in parallel_out.iterdir())
+        for name in names:
+            if name != "RUNHEALTH.txt":
+                assert (serial_out / name).read_bytes() == \
+                    (parallel_out / name).read_bytes(), name

@@ -225,6 +225,30 @@ class TestIntrospection:
                 assert payload["counters"]["service.jobs_done"] == 1
             manager.drain(timeout_s=10)
 
+    def test_keepalive_responses_do_not_wait_for_delayed_ack(
+        self, tmp_path
+    ):
+        """Headers and body leave in two writes; with Nagle's algorithm
+        on, the body waits ~40 ms for the client's delayed ACK on every
+        request of a kept-alive connection."""
+        import http.client
+        import time
+
+        with _serve(_manager(tmp_path)) as base:
+            host, port = base.removeprefix("http://").split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=10)
+            try:
+                t0 = time.perf_counter()
+                for _ in range(20):
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    json.loads(response.read())
+                elapsed = time.perf_counter() - t0
+            finally:
+                conn.close()
+        assert elapsed < 0.4, f"20 kept-alive requests took {elapsed:.2f}s"
+
 
 class TestDaemonLifecycle:
     def test_sigterm_handler_installed_before_port_is_published(
