@@ -32,6 +32,8 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
+from repro.fsutil import atomic_write_text
+
 #: bump when the export layout changes incompatibly.
 METRICS_SCHEMA = "repro/obs-metrics@1"
 
@@ -182,11 +184,7 @@ class MetricsRegistry:
 
     def write(self, path: str | os.PathLike) -> None:
         """Atomically write the full export to ``path``."""
-        path = os.fspath(path)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-        os.replace(tmp, path)
+        atomic_write_text(path, self.to_json(), durable=False)
 
 
 __all__ = [

@@ -2,37 +2,33 @@
 
 ``generate_all`` regenerates the whole artifact bundle — minutes of
 simulation.  A :class:`RunJournal` records each completed cell (one
-experiment stage and the files it wrote) in an append-only JSONL file
-inside the output directory, flushed and fsynced per entry, so a run
-killed at any instant can be relaunched with ``--resume`` and restart
-from the first incomplete cell.
+experiment stage and the files it wrote) in the output directory, so a
+run killed at any instant can be relaunched with ``--resume`` and
+restart from the first incomplete cell.
 
-Safety properties:
+The file is a :class:`repro.fsutil.DurableLog`, which owns durability:
+an fsync per entry, replay that stops at a torn or non-UTF-8 tail, and
+a verbatim rewrite of the replayed entries before the first append.
+This module is the fold over its entries:
 
-* the journal header pins the run parameters (seed, invocation counts,
+* the log header pins the run parameters (seed, invocation counts,
   schema); a ``--resume`` against different parameters starts over
   rather than mixing artifacts from two configurations;
-* a cell is only trusted if its journal entry parsed cleanly *and*
-  every file it claims to have written still exists — a torn final
-  line (killed mid-append) or a deleted artifact simply re-runs the
-  cell (the stale entry is dropped at load, so re-recording it is
-  legal);
-* opening a resumed journal for writing rewrites it from the
-  validated in-memory state (temp file + atomic rename), so a torn
-  tail can never corrupt records appended by a later resume;
+* a cell is only trusted if its entry replayed *and* every file it
+  claims to have written still exists — an entry whose artifacts were
+  deleted is dropped, so the cell re-runs (and re-recording it is
+  legal); the last entry of a cell wins;
 * the journal is deleted on successful completion, so a finished
   bundle contains exactly the artifact files.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Mapping
 
 from repro.errors import ResilienceError
-from repro.fsutil import fsync_dir
+from repro.fsutil import DurableLog
 
 #: bump when the journal layout changes; old journals re-run everything.
 JOURNAL_SCHEMA = "repro/run-journal@1"
@@ -55,97 +51,37 @@ class RunJournal:
         #: cells recorded by *this* process (double-record guard; cells
         #: loaded from a previous run may legitimately be re-recorded).
         self._recorded: set[str] = set()
-        if resume:
-            self._load()
-        self._fh = None  # opened lazily on first record
+        self._log = DurableLog(
+            self.path,
+            {"schema": JOURNAL_SCHEMA, "params": self.params},
+            self._apply if resume else None,
+        )
 
-    # -- loading ----------------------------------------------------------
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return  # no journal: nothing to resume
-        lines = text.splitlines()
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            return  # torn header: start over
-        if (
-            not isinstance(header, dict)
-            or header.get("schema") != JOURNAL_SCHEMA
-            or header.get("params") != self.params
-        ):
-            # different schema or run parameters: never mix artifacts.
-            return
-        root = self.path.parent
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail (killed mid-append): re-run from here
-            if not isinstance(entry, dict) or "cell" not in entry:
-                break
-            files = entry.get("files", [])
-            if not isinstance(files, list):
-                break
-            cell = str(entry["cell"])
-            names = [str(f) for f in files]
-            if all((root / name).exists() for name in names):
-                self.completed[cell] = names
-            else:
-                # an artifact was deleted since the entry was written:
-                # drop the entry entirely so the cell re-runs *and*
-                # record() accepts it again on this resume.
-                self.completed.pop(cell, None)
+    def _apply(self, entry: dict) -> bool:
+        """Fold one replayed entry into :attr:`completed`."""
+        files = entry.get("files", [])
+        if "cell" not in entry or not isinstance(files, list):
+            return False
+        cell = str(entry["cell"])
+        self.completed[cell] = [str(f) for f in files]  # last entry wins
+        if not self.done(cell):
+            # an artifact was deleted since the entry was written:
+            # drop the cell so it re-runs *and* record() accepts it.
+            del self.completed[cell]
+        return True
 
     # -- queries ----------------------------------------------------------
-    def done(self, cell: str, base_dir: Path | None = None) -> bool:
+    def done(self, cell: str) -> bool:
         """Is ``cell`` recorded complete, with all its files present?"""
         files = self.completed.get(cell)
         if files is None:
             return False
-        root = base_dir if base_dir is not None else self.path.parent
-        return all((root / name).exists() for name in files)
+        return all((self.path.parent / name).exists() for name in files)
 
     def files_of(self, cell: str) -> list[str]:
         return list(self.completed.get(cell, []))
 
     # -- recording --------------------------------------------------------
-    def _open(self):
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            # Rewrite the journal from the validated in-memory state
-            # (temp file + atomic rename): a torn tail left by a killed
-            # writer, or an entry invalidated by a deleted artifact,
-            # never survives into the file we append to — so the first
-            # appended record always starts on a fresh line.
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with open(tmp, "w") as fh:
-                fh.write(json.dumps(
-                    {"schema": JOURNAL_SCHEMA, "params": self.params},
-                    sort_keys=True,
-                ) + "\n")
-                for cell, files in self.completed.items():
-                    fh.write(json.dumps(
-                        {"cell": cell, "files": files}, sort_keys=True
-                    ) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            # the rename lives in the directory's metadata: fsync it so
-            # the journal name survives power loss, not just a crash.
-            fsync_dir(self.path.parent)
-            self._fh = open(self.path, "a")
-        return self._fh
-
-    def _write_line(self, doc: dict) -> None:
-        fh = self._fh
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-
     def record(self, cell: str, files: list[str]) -> None:
         """Mark ``cell`` complete (durable before this returns).
 
@@ -155,8 +91,7 @@ class RunJournal:
         """
         if cell in self._recorded:
             raise ResilienceError(f"cell {cell!r} recorded twice")
-        self._open()
-        self._write_line({"cell": cell, "files": files})
+        self._log.append({"cell": cell, "files": files})
         self.completed[cell] = list(files)
         self._recorded.add(cell)
         from repro.obs.runtime import active_obs
@@ -166,9 +101,7 @@ class RunJournal:
 
     # -- lifecycle --------------------------------------------------------
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
     def complete(self) -> None:
         """The run finished: drop the journal."""

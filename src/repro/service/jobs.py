@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import UsageError
@@ -170,8 +170,6 @@ class JobRecord:
     #: set when the job's result was recovered from disk at startup
     #: rather than computed by this process.
     recovered: bool = False
-    #: attempt-level failure messages (most recent last, bounded).
-    failures: list[str] = field(default_factory=list)
 
     @property
     def job_id(self) -> str:

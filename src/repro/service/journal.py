@@ -1,8 +1,8 @@
 """Crash-recoverable job journal for the profiling service.
 
 The daemon's source of truth for *which jobs exist and how far they
-got* is an append-only JSONL journal in the state directory, built on
-the same invariants as :class:`repro.resilience.checkpoint.RunJournal`:
+got* is a :class:`repro.fsutil.DurableLog` in the state directory —
+the same primitive as the run journal of ``generate_all``:
 
 * a schema header pins the layout; a journal written by an
   incompatible daemon version is ignored rather than misread;
@@ -10,12 +10,13 @@ the same invariants as :class:`repro.resilience.checkpoint.RunJournal`:
   records is acknowledged — a ``submit`` is durable before the HTTP
   202/201 goes out, a ``done`` is durable only after the result file
   itself was durably written;
-* a torn tail (daemon killed mid-append) invalidates exactly the torn
-  line: replay stops there and the half-recorded event simply never
-  happened;
-* opening for writing rewrites the file from the validated replayed
-  events (temp file + atomic rename + parent-directory fsync), so a
-  torn tail can never corrupt events appended after a restart.
+* a torn tail (daemon killed mid-append), including one that is not
+  UTF-8, invalidates exactly the torn line: replay stops there and the
+  half-recorded event simply never happened;
+* the first append after a restart rewrites the file to the header
+  plus the replayed events, verbatim (temp file + atomic rename +
+  parent-directory fsync), so a torn tail can never corrupt events
+  appended after a restart.
 
 Event vocabulary (one JSON object per line after the header):
 
@@ -37,19 +38,14 @@ the restarted daemon; jobs with a ``done`` are served from the store.
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ServiceError
-from repro.fsutil import fsync_dir
+from repro.fsutil import DurableLog
 
 #: bump when the event layout changes; old journals are not replayed.
 SERVICE_JOURNAL_SCHEMA = "repro/service-journal@1"
-
-#: attempt-failure messages kept per job during replay (bounded).
-_MAX_FAILURES = 8
 
 
 @dataclass
@@ -62,7 +58,6 @@ class ReplayedJob:
     outcome: str | None = None  # None ⇒ incomplete, must re-run
     error: str | None = None
     error_kind: str | None = None
-    failures: list = field(default_factory=list)
 
 
 class ServiceJournal:
@@ -74,36 +69,9 @@ class ServiceJournal:
         #: preserve insertion order, so re-queueing after a restart
         #: follows the original submission order deterministically).
         self.jobs: dict[str, ReplayedJob] = {}
-        self._fh = None
-        self._replay()
-
-    # -- replay -----------------------------------------------------------
-    def _replay(self) -> None:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return  # first boot: nothing to recover
-        lines = text.splitlines()
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
-            return  # torn header: an empty journal, not an error
-        if (
-            not isinstance(header, dict)
-            or header.get("schema") != SERVICE_JOURNAL_SCHEMA
-        ):
-            return  # incompatible layout: never misread old events
-        for line in lines[1:]:
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail: the event never happened
-            if not isinstance(event, dict) or "event" not in event:
-                break
-            if not self._apply(event):
-                break
+        self._log = DurableLog(
+            self.path, {"schema": SERVICE_JOURNAL_SCHEMA}, self._apply
+        )
 
     def _apply(self, event: dict) -> bool:
         """Fold one event into :attr:`jobs`; False stops the replay."""
@@ -129,11 +97,10 @@ class ServiceJournal:
             # torn/duplicated region: stop trusting the tail.
             return False
         if kind == "attempt":
-            state.attempts = max(state.attempts, int(event.get("attempt", 0)))
-            err = event.get("error")
-            if err is not None:
-                state.failures.append(str(err))
-                del state.failures[:-_MAX_FAILURES]
+            attempt = event.get("attempt")
+            if not isinstance(attempt, int):
+                return False
+            state.attempts = max(state.attempts, attempt)
             return True
         if kind == "done":
             outcome = event.get("outcome")
@@ -146,97 +113,26 @@ class ServiceJournal:
         return False
 
     # -- writing ----------------------------------------------------------
-    def _open(self):
-        if self._fh is not None:
-            return self._fh
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Rewrite from the validated replayed state so a torn tail left
-        # by the previous (killed) daemon never pollutes our appends.
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w") as fh:
-            fh.write(
-                json.dumps(
-                    {"schema": SERVICE_JOURNAL_SCHEMA}, sort_keys=True
-                )
-                + "\n"
-            )
-            for job, state in self.jobs.items():
-                fh.write(
-                    json.dumps(
-                        {
-                            "event": "submit",
-                            "job": job,
-                            "tenant": state.tenant,
-                            "spec": state.spec_doc,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                if state.attempts:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "event": "attempt",
-                                "job": job,
-                                "attempt": state.attempts,
-                                "error": (
-                                    state.failures[-1]
-                                    if state.failures
-                                    else None
-                                ),
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-                if state.outcome is not None:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "event": "done",
-                                "job": job,
-                                "outcome": state.outcome,
-                                "error": state.error,
-                                "error_kind": state.error_kind,
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        fsync_dir(self.path.parent)
-        self._fh = open(self.path, "a")
-        return self._fh
-
-    def _append(self, doc: dict) -> None:
-        fh = self._open()
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+    def _record(self, event: dict) -> None:
+        """Append ``event`` durably, then fold it into :attr:`jobs`."""
+        self._log.append(event)
+        self._apply(event)
 
     def record_submit(self, job: str, tenant: str, spec_doc: dict) -> None:
         """Durably record an admission (before it is acknowledged)."""
         if job in self.jobs:
             raise ServiceError(f"job {job!r} submitted twice to the journal")
-        self._append(
+        self._record(
             {"event": "submit", "job": job, "tenant": tenant,
              "spec": spec_doc}
         )
-        self.jobs[job] = ReplayedJob(spec_doc=spec_doc, tenant=tenant)
 
     def record_attempt(self, job: str, attempt: int, error: str) -> None:
         """Durably record one failed execution attempt."""
-        self._append(
+        self._record(
             {"event": "attempt", "job": job, "attempt": attempt,
              "error": error}
         )
-        state = self.jobs[job]
-        state.attempts = max(state.attempts, attempt)
-        state.failures.append(error)
-        del state.failures[:-_MAX_FAILURES]
 
     def record_done(
         self,
@@ -247,20 +143,14 @@ class ServiceJournal:
         error_kind: str | None = None,
     ) -> None:
         """Durably record a terminal state (result already on disk)."""
-        self._append(
+        self._record(
             {"event": "done", "job": job, "outcome": outcome,
              "error": error, "error_kind": error_kind}
         )
-        state = self.jobs[job]
-        state.outcome = outcome
-        state.error = error
-        state.error_kind = error_kind
 
     # -- lifecycle --------------------------------------------------------
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._log.close()
 
 
 __all__ = ["SERVICE_JOURNAL_SCHEMA", "ReplayedJob", "ServiceJournal"]

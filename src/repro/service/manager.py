@@ -147,7 +147,6 @@ class ServiceManager:
                 spec=spec,
                 tenant=replayed.tenant,
                 attempts=replayed.attempts,
-                failures=list(replayed.failures),
                 recovered=True,
             )
             if (
@@ -399,8 +398,6 @@ class ServiceManager:
         obs = active_obs()
         record.attempts += 1
         message = f"{type(exc).__name__}: {exc}"
-        record.failures.append(message)
-        del record.failures[:-8]
         self.journal.record_attempt(job_id, record.attempts, message)
         retryable = isinstance(exc, ReproError) and is_retryable(exc)
         if retryable and record.attempts < self.retry.max_attempts:
@@ -511,7 +508,7 @@ class ServiceManager:
                 return None
         try:
             return json.loads(self._result_path(job_id).read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             # the result file vanished or was mangled after completion:
             # re-queue the job (deterministic recompute) and report
             # not-ready instead of serving garbage.

@@ -13,7 +13,7 @@ Design points:
   can only serve a result whose inputs are content-equal; the inputs
   themselves (program/launch/spec) are re-attached from the caller's
   live objects rather than deserialized.
-* **Corruption tolerance** — a truncated, hand-edited or
+* **Corruption tolerance** — a truncated, hand-edited, non-UTF-8 or
   wrong-schema-version entry is treated as a miss (and counted in
   :attr:`CacheStats.corrupt`); the kernel is re-simulated and the entry
   overwritten.  A cache can never make a run wrong, only slower.
@@ -89,20 +89,21 @@ class SimResultCache:
         with obs.tracer.span("cache.load", cat="cache",
                              key=fingerprint[:12]) as span:
             try:
-                text = path.read_text()
+                data = path.read_bytes()
             except OSError:
                 self.stats.misses += 1
                 obs.metrics.inc("cache.misses")
                 span.set(outcome="miss")
                 return None
             try:
-                doc = json.loads(text)
+                doc = json.loads(data.decode("utf-8"))
                 result = self._decode(
                     doc, fingerprint, program, launch, spec
                 )
-            except (SimulationError, json.JSONDecodeError):
-                # stale schema, truncated write, hand-edited file, ... —
-                # never fatal: re-simulate and overwrite.
+            except (SimulationError, json.JSONDecodeError,
+                    UnicodeDecodeError):
+                # stale schema, truncated write, hand-edited file, not
+                # UTF-8, ... — never fatal: re-simulate and overwrite.
                 self.stats.corrupt += 1
                 self.stats.misses += 1
                 obs.metrics.inc("cache.corrupt")

@@ -671,7 +671,7 @@ def driver_for(program: KernelProgram, spec: "GPUSpec",
         path = _SOURCE_DIR / f"{key}.py"
         try:
             source = path.read_text(encoding="utf-8")
-        except OSError:
+        except (OSError, UnicodeDecodeError):
             source = None
         if source is not None:
             try:

@@ -21,6 +21,7 @@ from repro.cli import main
 from repro.isa import LaunchConfig
 from repro.obs import active_obs, load_trace, obs_context
 from repro.sim import SimConfig, engine_context
+from repro.sim.specialize import clear_driver_cache
 
 from tests.conftest import build_compute_kernel, build_stream_kernel
 
@@ -137,6 +138,9 @@ class TestEngineTracing:
 
 class TestMetricsDeterminism:
     def _run(self, turing, tmp_path, jobs, tag):
+        # start cold: forked workers inherit the parent's compiled
+        # drivers, which would turn worker misses into hits.
+        clear_driver_cache()
         out = tmp_path / f"metrics-{tag}.json"
         with obs_context(metrics_out=out):
             with engine_context(jobs=jobs,

@@ -526,6 +526,24 @@ class TestCacheCrashConsistency:
         cache.store(key, result)  # heal
         assert cache.load(key, prog, LAUNCH, turing) is not None
 
+    def test_non_utf8_entry_is_a_miss_then_heals(self, tmp_path, turing):
+        prog = _kernel("cacheutf8")
+        result = self._result(turing, prog)
+        cache = SimResultCache(tmp_path)
+        key = sim_fingerprint(prog, LAUNCH, turing, DEFAULT_CONFIG)
+        cache.store(key, result)
+        path = cache.path_for(key)
+        good = path.read_bytes()
+        path.write_bytes(good[:40] + b"\xff" + good[41:])
+        assert cache.load(key, prog, LAUNCH, turing) is None
+        assert cache.stats.corrupt == 1
+        # a run over the store re-simulates and overwrites the shard.
+        with engine_context(jobs=1, cache_dir=tmp_path) as engine:
+            again = engine.simulate(turing, prog, LAUNCH, DEFAULT_CONFIG)
+        assert again.per_sm == result.per_sm
+        assert again.duration_cycles == result.duration_cycles
+        assert path.read_bytes() == good
+
     def test_engine_treats_cache_write_faults_as_non_fatal(self, tmp_path,
                                                            turing):
         prog = _kernel("cacheflaky")

@@ -178,6 +178,25 @@ class TestStatusAndResult:
             assert listing["jobs"][job] == "done"
         manager.drain(timeout_s=10)
 
+    def test_non_utf8_result_file_is_recomputed(self, tmp_path):
+        manager = _manager(tmp_path)
+        manager.start()
+        with _serve(manager) as base:
+            _, doc, _ = _request(f"{base}/jobs", NN_JOB)
+            job = doc["job"]
+            assert manager.wait_idle(timeout_s=60)
+            path = manager._result_path(job)
+            good = path.read_bytes()
+            path.write_bytes(b"\xff" + good)
+            status, err, _ = _request(f"{base}/jobs/{job}/result")
+            assert status == 409
+            assert err["error"]["code"] == "not_ready"
+            assert manager.wait_idle(timeout_s=60)
+            status, _, _ = _request(f"{base}/jobs/{job}/result")
+            assert status == 200
+            assert path.read_bytes() == good
+        manager.drain(timeout_s=10)
+
     def test_quarantined_result_is_410(self, tmp_path):
         with install_faults("service.worker"):
             manager = _manager(tmp_path, retries=2)

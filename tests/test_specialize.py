@@ -269,6 +269,13 @@ def test_source_persistence_roundtrip(tmp_path):
             healed = _run(SMSimulator, program, launch, config)
             assert counters_to_doc(healed) == counters_to_doc(first)
             assert path.read_text(encoding="utf-8") == text
+
+            # ...and one that is not UTF-8.
+            path.write_bytes(b"\xff" + text.encode("utf-8"))
+            clear_driver_cache()
+            healed = _run(SMSimulator, program, launch, config)
+            assert counters_to_doc(healed) == counters_to_doc(first)
+            assert path.read_text(encoding="utf-8") == text
     finally:
         clear_driver_cache()
 
