@@ -26,6 +26,7 @@ from pathlib import Path
 
 from repro.core.nodes import LEVEL1, LEVEL2, Node
 from repro.errors import ReproError
+from repro.fsutil import atomic_write_text
 from repro.resilience.checkpoint import RunJournal
 
 #: journal file name inside the output directory (deleted on success).
@@ -33,7 +34,9 @@ JOURNAL_NAME = ".generate_all.journal"
 
 
 def _write(path: Path, text: str) -> None:
-    path.write_text(text)
+    # atomic and durable: a killed run never leaves a torn artifact,
+    # and each one is on disk before the journal entry vouching for it.
+    atomic_write_text(path, text)
     print(f"  wrote {path}")
 
 

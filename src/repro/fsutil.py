@@ -55,16 +55,21 @@ def atomic_write_text(
 
     With ``durable=True`` (the default) the data is fsynced before the
     rename and the parent directory after it, so the new content
-    survives power loss, not just a process crash.
+    survives power loss, not just a process crash.  A failed write
+    removes its temp file and leaves ``path`` as it was.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if durable:
-            fh.flush()
-            os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            if durable:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     if durable:
         fsync_dir(path.parent)
 

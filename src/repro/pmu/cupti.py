@@ -4,21 +4,16 @@
 emulators (:mod:`repro.profilers`) are built on, mirroring how the real
 ``nvprof``/``ncu`` sit on top of the CUPTI library (paper §II.A/§II.B).
 
-Replay handling supports two modes:
-
-* ``"model"`` (default) — the kernel is simulated once (it is
-  deterministic, so replays would observe identical counters) and the
-  time cost of every pass is *charged* analytically: each pass costs the
-  kernel duration plus a setup fraction plus a cache-flush cost that
-  grows with the kernel's working set (paper §V.E).
-* ``"execute"`` — every pass genuinely re-runs the simulator; used by
-  tests to prove replay determinism.
+Replay is modelled, not executed: the kernel is simulated once (it is
+deterministic, so replays would observe identical counters) and the
+time cost of every pass is *charged* analytically: each pass costs the
+kernel duration plus a setup fraction plus a cache-flush cost that
+grows with the kernel's working set (paper §V.E).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import dataclass
 
 from repro.arch.spec import GPUSpec
 from repro.errors import CounterError
@@ -30,8 +25,6 @@ from repro.pmu.passes import PassPlan, schedule_passes
 from repro.sim.config import DEFAULT_CONFIG, SimConfig
 from repro.sim.counters import EventCounters
 from repro.sim.gpu import GPUSimulator, KernelSimResult
-
-ReplayMode = Literal["model", "execute"]
 
 
 @dataclass
@@ -61,7 +54,6 @@ class CuptiSession:
         self,
         spec: GPUSpec,
         config: SimConfig = DEFAULT_CONFIG,
-        replay: ReplayMode = "model",
         *,
         measurement_noise: float = 0.0,
     ) -> None:
@@ -71,13 +63,10 @@ class CuptiSession:
         collections exhibit exactly this kind of pass-to-pass skew; the
         Top-Down equations must stay stable under it (see the
         noise-robustness ablation)."""
-        if replay not in ("model", "execute"):
-            raise CounterError(f"unknown replay mode {replay!r}")
         if not 0.0 <= measurement_noise < 1.0:
             raise CounterError("measurement_noise must be in [0, 1)")
         self.spec = spec
         self.config = config
-        self.replay = replay
         self.measurement_noise = measurement_noise
         self._gpu = GPUSimulator(spec, config)
         self._context = MetricContext(spec=spec)
@@ -106,31 +95,12 @@ class CuptiSession:
         launch: LaunchConfig,
         metric_names: list[str],
     ) -> CollectedKernel:
-        """Profile one kernel launch, replaying as the plan requires."""
+        """Profile one kernel launch, charging every pass the plan
+        requires."""
         metrics = self.resolve(metric_names)
         plan = schedule_passes(metrics, self.spec.pmu)
 
         result = self._gpu.launch(program, launch)
-        if self.replay == "execute":
-            from repro.sim.engine import current_engine
-
-            # genuine re-executions — independent by construction, so
-            # they fan out across the active engine's process pool
-            # (and deliberately bypass every result cache).
-            replays = current_engine().simulate_replicas(
-                self.spec, program, launch, self.config,
-                plan.num_passes - 1,
-            )
-            for replay_result in replays:
-                if (
-                    replay_result.counters.inst_executed
-                    != result.counters.inst_executed
-                ):
-                    raise CounterError(
-                        f"kernel {program.name!r}: replay diverged "
-                        "(non-deterministic workload?)"
-                    )
-
         counters = result.counters
         events = self._extract_events(counters, plan)
         values = {

@@ -20,14 +20,14 @@ from repro.profilers.validate import (
 )
 
 
-def tool_for(spec, config=None, replay="model") -> ProfilerTool:
+def tool_for(spec, config=None) -> ProfilerTool:
     """Instantiate the CLI tool the paper would use for ``spec``:
     ``ncu`` for CC >= 7.2, ``nvprof`` below (paper §II.B)."""
     from repro.sim.config import DEFAULT_CONFIG
 
     config = config or DEFAULT_CONFIG
     cls = NcuTool if spec.compute_capability.uses_unified_metrics else NvprofTool
-    return cls(spec, config, replay)
+    return cls(spec, config)
 
 
 __all__ = [

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.arch.spec import GPUSpec
 from repro.errors import ProfilerError
 from repro.isa.program import KernelProgram, LaunchConfig
-from repro.pmu.cupti import CuptiSession, ReplayMode
+from repro.pmu.cupti import CuptiSession
 from repro.profilers.records import ApplicationProfile, KernelProfile
 from repro.sim.config import DEFAULT_CONFIG, SimConfig
 from repro.workloads.base import Application
@@ -27,11 +25,10 @@ class ProfilerTool:
         self,
         spec: GPUSpec,
         config: SimConfig = DEFAULT_CONFIG,
-        replay: ReplayMode = "model",
     ) -> None:
         self._check_supported(spec)
         self.spec = spec
-        self.session = CuptiSession(spec, config, replay)
+        self.session = CuptiSession(spec, config)
 
     # -- capability gating ------------------------------------------------
     def _supports(self, spec: GPUSpec) -> bool:

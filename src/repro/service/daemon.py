@@ -3,9 +3,11 @@
 Wires the pieces together for one daemon process:
 
 * builds the :class:`~repro.service.manager.ServiceManager` (which
-  replays the journal and re-queues interrupted jobs) inside an
-  ``obs_context`` + ``engine_context(cache=<store>)`` so every job
-  shares one engine, one memo and one eviction-aware store;
+  opens the store, replays the journal and re-queues interrupted jobs)
+  inside the ``obs_context``, so ``GET /metrics`` shows the store's
+  warm-start gauges and the recovery counts, then enters
+  ``engine_context(cache=<store>)`` so every job shares one engine,
+  one memo and one eviction-aware store;
 * serves the HTTP API on a :class:`ServiceHTTPServer` thread;
 * handles **SIGTERM** as *graceful drain*: admissions start returning
   503 ``draining``, in-flight and queued jobs run to completion, the
@@ -33,6 +35,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import ExitStack
 from pathlib import Path
 
 from repro.errors import ServiceError
@@ -75,18 +78,20 @@ def run_serve(args) -> int:
         raise ServiceError("serve: --queue-cap must be >= 1")
     if args.tenant_quota < 1:
         raise ServiceError("serve: --tenant-quota must be >= 1")
-    manager = _build_manager(args)
-    with obs_context(
-        trace=args.trace, metrics_out=args.metrics_out, enabled=True
-    ), engine_context(
-        jobs=args.jobs,
-        no_cache=args.no_cache,
-        faults=args.inject_faults,
-        retries=args.retries,
-        deadline_s=args.deadline,
-        backend=args.backend,
-        cache=None if args.no_cache else manager.store,
-    ):
+    with ExitStack() as stack:
+        stack.enter_context(obs_context(
+            trace=args.trace, metrics_out=args.metrics_out, enabled=True
+        ))
+        manager = _build_manager(args)
+        stack.enter_context(engine_context(
+            jobs=args.jobs,
+            no_cache=args.no_cache,
+            faults=args.inject_faults,
+            retries=args.retries,
+            deadline_s=args.deadline,
+            backend=args.backend,
+            cache=None if args.no_cache else manager.store,
+        ))
         # the drain handler goes in before the port is published or
         # served: a supervisor may send SIGTERM the moment it sees
         # either, and the default action would kill without draining.

@@ -92,10 +92,10 @@ def simulator_class(backend: str | None = None) -> "type[SMSimulator]":
 def make_sm_simulator(spec, program, launch, config, **kwargs):
     """Construct one SM simulator under the current backend.
 
-    The factory used by every plain simulation entry point
-    (:meth:`GPUSimulator.launch_uncached`'s serial path and the
-    engine's per-SM pool task).  Instrumented paths — tracing, the
-    sanitizer — run on the reference scan whatever the selection.
+    The factory behind every plain simulation:
+    :meth:`GPUSimulator.launch_uncached`, which runs each engine cell.
+    Instrumented paths — tracing, the sanitizer — run on the reference
+    scan whatever the selection.
     """
     return simulator_class()(spec, program, launch, config, **kwargs)
 

@@ -67,14 +67,6 @@ class SectorCache:
         cache_set.append(line)
         return False
 
-    def probe_many(self, sector_ids: list[int]) -> int:
-        """Probe several sectors; returns the number of hits."""
-        n = 0
-        for sid in sector_ids:
-            if self.probe(sid):
-                n += 1
-        return n
-
     @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0

@@ -58,11 +58,6 @@ class EventCounters:
     def total_stall_cycles(self) -> int:
         return sum(self.state_cycles[s] for s in STALL_STATES)
 
-    @property
-    def issue_active_cycles(self) -> int:
-        """Cycles in which at least one instruction issued (selected>0)."""
-        return self.state_cycles[WarpState.SELECTED]
-
     def stall_fraction(self, state: WarpState) -> float:
         """Share of warp-active cycles spent in ``state`` (ncu .pct/100)."""
         if self.warp_active_cycles == 0:

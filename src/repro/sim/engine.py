@@ -10,10 +10,10 @@ profiling-pipeline optimizations safe to apply aggressively:
   under their content fingerprint, so replay passes, the stages of one
   experiment regeneration, repeated CLI runs and whole regenerations
   skip simulation entirely (:mod:`repro.sim.result_cache`);
-* **fan out** — independent simulation units (distinct kernel launches
-  of an application, experiment cells, the per-SM runs of one launch)
-  execute on a process pool, with results merged back in submission
-  order so every output is **bit-identical to a serial run**.
+* **fan out** — independent simulation cells (the distinct kernel
+  launches of an application, a suite or an experiment) execute on a
+  process pool, with results merged back in submission order so every
+  output is **bit-identical to a serial run**.
 
 On top of that sits the resilience layer (:mod:`repro.resilience`):
 every simulation *cell* (one kernel launch) runs under a
@@ -34,15 +34,6 @@ via :func:`engine_context` (``--jobs/--cache-dir/--no-cache``), and
 every such engine memoizes results by content key whatever its
 ``jobs`` and cache — so a serial, store-less run simulates each
 distinct cell once, exactly like a parallel one.
-
-Parallel-safety note (``share_l2``): when
-:attr:`~repro.sim.config.SimConfig.share_l2` is set, the simulated SMs
-of one launch mutate a single :class:`~repro.sim.caches.SectorCache`
-sequentially — SM *i+1* observes SM *i*'s fills.  Those runs cannot be
-fanned out across processes without racing or silently diverging, so
-:meth:`ExecutionEngine.sm_counters` refuses (returns ``None``) and the
-launch falls back to the documented serial path.  Whole-*kernel*
-parallelism is unaffected: each worker builds its own cache hierarchy.
 """
 
 from __future__ import annotations
@@ -69,9 +60,6 @@ from repro.sim.fingerprint import sim_fingerprint
 from repro.sim.result_cache import SimResultCache
 
 if TYPE_CHECKING:
-    from repro.isa.program import LaunchConfig
-    from repro.sim.config import SimConfig
-    from repro.sim.counters import EventCounters
     from repro.sim.gpu import KernelSimResult
 
 #: environment override for the worker count (used when no explicit
@@ -79,17 +67,9 @@ if TYPE_CHECKING:
 JOBS_ENV = "GPU_TOPDOWN_JOBS"
 
 # ---------------------------------------------------------------------------
-# process-pool tasks (top-level so they pickle); a work item is one
+# the process-pool task (top-level so it pickles); a work item is one
 # ``(spec, program, launch, config)`` tuple.
 # ---------------------------------------------------------------------------
-
-def _simulate_kernel_task(item) -> "KernelSimResult":
-    """Simulate one whole kernel launch (runs in a worker process)."""
-    from repro.sim.gpu import GPUSimulator
-
-    spec, program, launch, config = item
-    return GPUSimulator(spec, config).launch_uncached(program, launch)
-
 
 def _simulate_kernel_cell(key: str, item, attempt: int) -> "KernelSimResult":
     """One resilient cell execution: fault sites fire first.
@@ -102,18 +82,19 @@ def _simulate_kernel_cell(key: str, item, attempt: int) -> "KernelSimResult":
     the real per-cell timeline regardless of where the cell ran.
     """
     from repro.resilience.faults import active_injector
+    from repro.sim.gpu import GPUSimulator
 
     injector = active_injector()
     injector.fire_transient(key, attempt)
     injector.fire_worker_crash(key, attempt)
     injector.maybe_hang(key, attempt)
     obs = active_obs()
-    spec, program, _launch, _config = item
+    spec, program, launch, config = item
     with obs.tracer.span("sim.cell", cat="sim",
                          cell=f"{program.name}@{spec.name}",
                          key=key[:12], attempt=attempt):
         t0 = time.perf_counter()
-        result = _simulate_kernel_task(item)
+        result = GPUSimulator(spec, config).launch_uncached(program, launch)
     obs.metrics.inc("sim.cells_executed")
     obs.metrics.observe("sim.cell_seconds", time.perf_counter() - t0)
     return result
@@ -166,16 +147,6 @@ def _timeout_own_fault(injector, future, key: str, attempt: int) -> bool:
     return future.running() or future.done()
 
 
-def _simulate_sm_task(item) -> "EventCounters":
-    """Simulate one SM of one launch (runs in a worker process)."""
-    from repro.sim.backend import make_sm_simulator
-
-    spec, program, launch, config, sm_index = item
-    return make_sm_simulator(
-        spec, program, launch, config, sm_index=sm_index
-    ).run()
-
-
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
@@ -191,8 +162,6 @@ class EngineStats:
     #: parallel kernel batches dispatched and tasks within them.
     batch_count: int = 0
     batch_tasks: int = 0
-    #: per-SM tasks fanned out across processes.
-    sm_tasks: int = 0
     #: wall seconds spent simulating (including pool wait).
     sim_seconds: float = 0.0
     #: wall seconds spent in persistent-cache I/O.
@@ -522,21 +491,9 @@ class ExecutionEngine:
         """
         if key is None:
             key = sim_fingerprint(program, launch, spec, config)
-        return self._resolve(key, (spec, program, launch, config))
-
-    def _resolve(self, key: str, item) -> "KernelSimResult":
-        self._raise_if_quarantined(key)
-        if self._memo is not None:
-            hit = self._memo.get(key)
-            if hit is not None:
-                self.stats.memo_hits += 1
-                return hit
-        result = self._load(key, item)
+        (result,), _ = self._resolve([key], [(spec, program, launch, config)])
         if result is None:
-            result = self._run_cell(key, item)
-            self._store(key, result)
-        if self._memo is not None:
-            self._memo[key] = result
+            self._raise_if_quarantined(key)
         return result
 
     def _load(self, key: str, item) -> "KernelSimResult | None":
@@ -580,24 +537,30 @@ class ExecutionEngine:
         obs = active_obs()
         with obs.tracer.span("engine.batch", cat="engine",
                              items=len(items)) as batch_span:
-            return self._simulate_batch(items, batch_span)
+            keys = [
+                sim_fingerprint(program, launch, spec, config)
+                for spec, program, launch, config in items
+            ]
+            out, misses = self._resolve(keys, items)
+            batch_span.set(misses=misses)
+            return out
 
-    def _simulate_batch(
-        self, items: Sequence, batch_span
-    ) -> "list[KernelSimResult | None]":
-        keys = [
-            sim_fingerprint(program, launch, spec, config)
-            for spec, program, launch, config in items
-        ]
+    def _resolve(
+        self, keys: "list[str]", items: Sequence
+    ) -> "tuple[list[KernelSimResult | None], int]":
+        """Memo, then store, then one dispatch of the distinct misses.
+
+        Returns the results in ``items`` order (``None`` for a
+        quarantined cell) and the number of distinct misses.
+        """
         out: "list[KernelSimResult | None]" = [None] * len(items)
         # resolve memo/disk hits; collect distinct misses in first-seen
         # order so the merge order is deterministic.
         miss_keys: list[str] = []
         miss_items: list = []
         seen_missing: set[str] = set()
-        quarantined_keys: set[str] = set(self._quarantined)
         for idx, key in enumerate(keys):
-            if key in quarantined_keys:
+            if key in self._quarantined:
                 continue  # already dead: stays None
             if self._memo is not None and key in self._memo:
                 self.stats.memo_hits += 1
@@ -629,83 +592,7 @@ class ExecutionEngine:
                     out[idx] = self._memo[key]
                 else:
                     out[idx] = resolved.get(key)
-        batch_span.set(misses=len(miss_keys))
-        return out
-
-    # -- genuine re-execution (profiler "execute" replay mode) -----------
-    def simulate_replicas(
-        self, spec, program, launch, config, count: int
-    ) -> "list[KernelSimResult]":
-        """Re-simulate the same launch ``count`` times, for real.
-
-        Used by the ``"execute"`` replay mode, whose whole point is to
-        *prove* determinism by re-running — so this path deliberately
-        bypasses the memo and the persistent cache.  The independent
-        re-executions still fan out across the pool.
-        """
-        if count <= 0:
-            return []
-        items = [(spec, program, launch, config)] * count
-        t0 = time.perf_counter()
-        try:
-            if self.parallel and count > 1:
-                self.stats.batch_count += 1
-                self.stats.batch_tasks += count
-                results = list(
-                    self._executor().map(_simulate_kernel_task, items)
-                )
-            else:
-                results = [_simulate_kernel_task(item) for item in items]
-        except KeyboardInterrupt:
-            self._abort_pool()
-            raise
-        self.stats.sim_seconds += time.perf_counter() - t0
-        self.stats.sim_calls += count
-        return results
-
-    # -- per-SM fan-out (used by GPUSimulator.launch_uncached) -----------
-    def sm_counters(
-        self, spec, program, launch, config, n_sim: int
-    ) -> "list[EventCounters] | None":
-        """Simulate ``n_sim`` SMs of one launch across the pool.
-
-        Returns counters in ``sm_index`` order, or ``None`` when the
-        fan-out does not apply — serial engine, a single SM, or
-        ``config.share_l2`` (whose SMs mutate one shared cache and
-        *must* run sequentially; see the module docstring).  A pool
-        that died mid-fan-out also returns ``None``: the caller's
-        serial path re-runs the SMs in-process, trading speed for
-        completion.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not self.parallel or n_sim < 2 or config.share_l2:
-            return None
-        items = [
-            (spec, program, launch, config, sm_index)
-            for sm_index in range(n_sim)
-        ]
-        self.stats.sm_tasks += n_sim
-        t0 = time.perf_counter()
-        try:
-            with active_obs().tracer.span("engine.sm_fanout", cat="engine",
-                                          sms=n_sim):
-                counters = list(
-                    self._executor().map(_simulate_sm_task, items)
-                )
-        except KeyboardInterrupt:
-            self._abort_pool()
-            raise
-        except BrokenProcessPool:
-            self._reset_pool(kill=True)
-            self.health.record_retry("WorkerCrashError")
-            active_obs().metrics.inc(
-                "resilience.retries.WorkerCrashError"
-            )
-            return None
-        finally:
-            self.stats.sim_seconds += time.perf_counter() - t0
-        return counters
+        return out, len(miss_keys)
 
     # -- timing stages ----------------------------------------------------
     @contextmanager
@@ -753,7 +640,6 @@ class ExecutionEngine:
         obs.metrics.set_gauge("engine.jobs", self.jobs)
         obs.metrics.set_gauge("engine.parallel_batches", s.batch_count)
         obs.metrics.set_gauge("engine.parallel_batch_tasks", s.batch_tasks)
-        obs.metrics.set_gauge("engine.sm_tasks", s.sm_tasks)
         obs.metrics.observe("engine.sim_seconds", s.sim_seconds)
         obs.metrics.observe("engine.cache_io_seconds", s.cache_seconds)
         if self.health.cache_write_failures:
@@ -768,7 +654,7 @@ class ExecutionEngine:
             f"  simulate: {s.sim_calls} kernel(s) in {s.sim_seconds:.2f}s"
             f" · memo {s.memo_hits} hit(s)"
             f" · {s.batch_count} parallel batch(es)"
-            f" ({s.batch_tasks} task(s)) · {s.sm_tasks} SM task(s)"
+            f" ({s.batch_tasks} task(s))"
         )
         if self.cache is not None:
             lines.append(

@@ -91,51 +91,37 @@ class GPUSimulator:
 
     def launch_uncached(self, program: KernelProgram,
                         launch: LaunchConfig) -> KernelSimResult:
-        """Always re-simulate (used by genuine replay-pass execution)."""
+        """Always simulate, in this process: the engine's cell task.
+
+        The simulated SMs run in ``sm_index`` order.  With
+        ``share_l2`` they share one device-level L2 (see
+        :class:`SimConfig` for why this is opt-in), so SM *i+1*
+        observes SM *i*'s fills.
+        """
+        from repro.sim.backend import make_sm_simulator
         from repro.sim.caches import SectorCache
-        from repro.sim.engine import current_engine
 
         n_sim = min(self.config.simulated_sms, self.spec.sm_count)
-        per_sm: list[EventCounters] | None = None
-        # fan the independent per-SM runs across the active engine's
-        # process pool.  share_l2 runs are refused there (the SMs
-        # mutate one shared SectorCache in sequence) and take the
-        # serial path below instead.
-        per_sm = current_engine().sm_counters(
-            self.spec, program, launch, self.config, n_sim
+        shared_l2 = (
+            SectorCache(self.spec.memory.l2) if self.config.share_l2
+            else None
         )
-        duration = 0
-        if per_sm is None:
-            per_sm = []
-            # optionally one device-level L2 shared by every simulated
-            # SM (see SimConfig.share_l2 for why this is opt-in).
-            shared_l2 = (
-                SectorCache(self.spec.memory.l2) if self.config.share_l2
-                else None
-            )
-            from repro.sim.backend import make_sm_simulator
-
-            for sm_index in range(n_sim):
-                sim = make_sm_simulator(
-                    self.spec, program, launch, self.config,
-                    sm_index=sm_index, shared_l2=shared_l2,
-                )
-                counters = sim.run()
-                per_sm.append(counters)
-        for counters in per_sm:
-            duration = max(duration, counters.cycles_elapsed)
-        if n_sim < self.spec.sm_count:
-            # un-simulated SMs carry at most as many blocks as SM 0; the
-            # representative SM's elapsed time already bounds duration.
-            pass
-        ws = sum(p.working_set_bytes for p in program.patterns)
+        per_sm = [
+            make_sm_simulator(
+                self.spec, program, launch, self.config,
+                sm_index=sm_index, shared_l2=shared_l2,
+            ).run()
+            for sm_index in range(n_sim)
+        ]
         return KernelSimResult(
             program=program,
             launch=launch,
             spec=self.spec,
             per_sm=per_sm,
-            duration_cycles=duration,
-            working_set_bytes=ws,
+            duration_cycles=max(c.cycles_elapsed for c in per_sm),
+            working_set_bytes=sum(
+                p.working_set_bytes for p in program.patterns
+            ),
         )
 
 

@@ -219,6 +219,50 @@ class TestGenerateAllResume:
                 continue
             assert out[name] == ref[name], f"{name} differs after resume"
 
+    def test_failed_artifact_write_keeps_old_bytes(self, tmp_path,
+                                                   monkeypatch):
+        """A rewrite that dies midway (here a full disk) must leave the
+        artifact's previous bytes, which a journal entry may vouch for,
+        whole — and no temp file behind."""
+        import builtins
+        import errno
+        import io
+
+        target = tmp_path / "fig.txt"
+        target.write_text("old artifact text\n")
+        real_open = io.open
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, text):
+                self._fh.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        def flaky_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if "w" in mode and str(file).startswith(str(tmp_path)):
+                return HalfWriter(fh)
+            return fh
+
+        monkeypatch.setattr(io, "open", flaky_open)
+        monkeypatch.setattr(builtins, "open", flaky_open)
+        with pytest.raises(OSError):
+            gen._write(target, "new artifact text, twice as long\n")
+        monkeypatch.undo()
+        assert target.read_text() == "old artifact text\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["fig.txt"]
+
     def test_resume_after_artifact_deletion_completes(self, tmp_path,
                                                       monkeypatch):
         # kill inside "three", then delete an artifact of the already

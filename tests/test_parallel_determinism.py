@@ -70,41 +70,55 @@ class TestBatchDeterminism:
             assert got.duration_cycles == want.duration_cycles
         assert batch[0].per_sm == batch[2].per_sm
 
-    def test_multi_sm_fanout_bit_identical(self, pascal):
-        config = SimConfig(seed=5, simulated_sms=3)
-        prog = build_stream_kernel()
-        serial = GPUSimulator(pascal, config).launch(prog, LAUNCH)
+    @staticmethod
+    def _assert_multi_sm_cells_match_serial(spec, config):
+        """Send two distinct multi-SM cells through the pool and compare
+        each with a serial launch."""
+        progs = [build_stream_kernel(), build_compute_kernel()]
+        serial = [GPUSimulator(spec, config).launch(p, LAUNCH) for p in progs]
         with engine_context(jobs=3) as engine:
-            parallel = GPUSimulator(pascal, config).launch(prog, LAUNCH)
-            assert engine.stats.sm_tasks == 3
-        assert parallel.per_sm == serial.per_sm
-        assert parallel.duration_cycles == serial.duration_cycles
+            batch = engine.simulate_batch(
+                [(spec, p, LAUNCH, config) for p in progs]
+            )
+            assert engine.stats.batch_tasks == 2
+        for got, want in zip(batch, serial):
+            assert len(got.per_sm) == config.simulated_sms
+            assert got.per_sm == want.per_sm
+            assert got.duration_cycles == want.duration_cycles
+
+    def test_multi_sm_fanout_bit_identical(self, pascal):
+        """A multi-SM launch is one cell: a worker runs its SMs in
+        order, exactly as a serial launch does."""
+        self._assert_multi_sm_cells_match_serial(
+            pascal, SimConfig(seed=5, simulated_sms=3)
+        )
 
     def test_share_l2_falls_back_to_serial(self, pascal):
-        """share_l2 SMs mutate one shared SectorCache, so the engine
-        must refuse the cross-SM fan-out and the results must equal the
-        (sequential) serial path exactly."""
-        config = SimConfig(seed=5, simulated_sms=3, share_l2=True)
-        prog = build_stream_kernel()
-        serial = GPUSimulator(pascal, config).launch(prog, LAUNCH)
-        with engine_context(jobs=3) as engine:
-            parallel = GPUSimulator(pascal, config).launch(prog, LAUNCH)
-            assert engine.stats.sm_tasks == 0  # fan-out refused
-        assert parallel.per_sm == serial.per_sm
+        """share_l2 SMs mutate one shared SectorCache, so a launch runs
+        its SMs in order in one process; a worker running the whole
+        cell must equal the serial path exactly."""
+        self._assert_multi_sm_cells_match_serial(
+            pascal, SimConfig(seed=5, simulated_sms=3, share_l2=True)
+        )
 
-    def test_execute_replay_mode_parallel(self, turing):
-        """Genuine replay passes fan out but still re-simulate."""
+    def test_cupti_collection_parallel_equals_serial(self, turing):
+        """Replay passes are charged, not re-run: a collection whose
+        kernel a pool worker simulated equals a serial collection."""
+        config = SimConfig(seed=0)
         prog = build_stream_kernel()
         metrics = metric_names_for_level(turing.compute_capability, 3)
-        serial_session = CuptiSession(turing, SimConfig(seed=0),
-                                      replay="execute")
-        serial = serial_session.collect(prog, LAUNCH, metrics)
+        serial = CuptiSession(turing, config).collect(prog, LAUNCH, metrics)
         with engine_context(jobs=2) as engine:
-            session = CuptiSession(turing, SimConfig(seed=0),
-                                   replay="execute")
-            parallel = session.collect(prog, LAUNCH, metrics)
-            # every replay pass truly re-ran (nothing memoized away).
-            assert engine.stats.sim_calls >= parallel.plan.num_passes
+            engine.simulate_batch([
+                (turing, prog, LAUNCH, config),
+                (turing, build_compute_kernel(), LAUNCH, config),
+            ])
+            parallel = CuptiSession(turing, config).collect(
+                prog, LAUNCH, metrics
+            )
+            assert engine.stats.batch_tasks == 2
+            assert engine.stats.sim_calls == 2  # the collection hit
+        assert parallel.plan.num_passes > 1
         assert parallel.metrics == serial.metrics
         assert parallel.events == serial.events
 

@@ -3,7 +3,7 @@ and the CUPTI-like session."""
 
 import pytest
 
-from repro.arch import PMUSpec, get_gpu
+from repro.arch import PMUSpec
 from repro.errors import CounterError
 from repro.isa import LaunchConfig
 from repro.pmu import (
@@ -182,8 +182,8 @@ class TestPassScheduling:
 
 
 class TestCuptiSession:
-    def _collect(self, spec, replay="model", metrics=None):
-        session = CuptiSession(spec, SimConfig(seed=5), replay)
+    def _collect(self, spec, metrics=None):
+        session = CuptiSession(spec, SimConfig(seed=5))
         prog = build_stream_kernel(iterations=4)
         launch = LaunchConfig(blocks=8, threads_per_block=128)
         metrics = metrics or [
@@ -216,14 +216,6 @@ class TestCuptiSession:
         assert many.plan.num_passes > few.plan.num_passes
         assert many.profiled_cycles > few.profiled_cycles
         assert many.overhead > few.overhead > 1.0
-
-    def test_execute_replay_is_deterministic(self, turing):
-        collected = self._collect(turing, replay="execute")
-        assert collected.plan.num_passes >= 1  # replays did not diverge
-
-    def test_invalid_replay_mode(self, turing):
-        with pytest.raises(CounterError):
-            CuptiSession(turing, SimConfig(), "bogus")
 
     def test_available_metrics_match_catalog(self, turing, pascal):
         assert set(CuptiSession(turing).available_metrics()) == set(

@@ -306,3 +306,34 @@ class TestDaemonLifecycle:
         assert len(seen) == 1 and callable(seen[0])
         assert int(port_file.read_text()) > 0
         assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_metrics_out_shows_startup_gauges(self, tmp_path, monkeypatch):
+        """The store's open and the journal replay record into the
+        daemon's obs session, so its metrics show the warm start."""
+        import signal
+
+        from repro.cli import build_parser
+        from repro.service import daemon
+
+        shard = tmp_path / "state" / "store" / "ab" / f"ab{'0' * 62}.json"
+        shard.parent.mkdir(parents=True)
+        shard.write_text('{"duration_cycles": 10}\n')
+        real_write = daemon.atomic_write_text
+
+        def publish(path, text, **kwargs):
+            # the supervisor's SIGTERM, the moment the port is published
+            signal.getsignal(signal.SIGTERM)(signal.SIGTERM, None)
+            real_write(path, text, **kwargs)
+
+        monkeypatch.setattr(daemon, "atomic_write_text", publish)
+        metrics_out = tmp_path / "metrics.json"
+        args = build_parser().parse_args([
+            "serve", "--state-dir", str(tmp_path / "state"),
+            "--port-file", str(tmp_path / "port"), "--workers", "1",
+            "--metrics-out", str(metrics_out),
+        ])
+        assert daemon.run_serve(args) == daemon.EXIT_CLEAN
+        gauges = json.loads(metrics_out.read_text())["gauges"]
+        assert gauges["store.warm_entries"] == 1
+        assert gauges["store.warm_bytes"] == shard.stat().st_size
+        assert gauges["service.recovered_incomplete"] == 0
