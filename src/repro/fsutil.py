@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any, Callable
 
@@ -56,10 +57,14 @@ def atomic_write_text(
     With ``durable=True`` (the default) the data is fsynced before the
     rename and the parent directory after it, so the new content
     survives power loss, not just a process crash.  A failed write
-    removes its temp file and leaves ``path`` as it was.
+    removes its temp file and leaves ``path`` as it was.  The temp name
+    carries the process and thread id, so concurrent writers of one
+    path never share a temp file; the last rename wins.
     """
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    tmp = path.with_name(
+        f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+    )
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -38,15 +38,6 @@ class SectorCache:
         self.accesses = 0
         self.hits = 0
 
-    def reset_stats(self) -> None:
-        self.accesses = 0
-        self.hits = 0
-
-    def flush(self) -> None:
-        """Invalidate all contents (used between profiler replay passes)."""
-        for s in self._sets:
-            s.clear()
-
     def probe(self, sector_id: int) -> bool:
         """Access one sector; returns True on hit, updates LRU/fills."""
         line = sector_id >> self._lines_per_sector_shift
@@ -67,10 +58,6 @@ class SectorCache:
         cache_set.append(line)
         return False
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 class MemoryHierarchy:
     """L1 (per SM) + L2 (device) + constant cache (per SM) + DRAM.
@@ -88,18 +75,6 @@ class MemoryHierarchy:
         self.l2 = l2
         self.constant = constant
         self.dram_latency = dram_latency
-        self.l2_accesses = 0
-        self.dram_accesses = 0
-
-    def flush(self) -> None:
-        self.l1.flush()
-        self.l2.flush()
-        self.constant.flush()
-
-    def reset_stats(self) -> None:
-        self.l1.reset_stats()
-        self.l2.reset_stats()
-        self.constant.reset_stats()
         self.l2_accesses = 0
         self.dram_accesses = 0
 
@@ -209,33 +184,14 @@ class MemoryHierarchy:
         l1.hits += hits
         return worst
 
-    def access_constant(self, sector_ids: list[int]) -> tuple[bool, int]:
-        """Probe the immediate-constant cache.
-
-        Returns ``(missed, latency)``; a miss goes to L2 (constants are
-        cached there too) and possibly DRAM.
-        """
-        missed = False
-        worst = self.constant.spec.hit_latency
-        for sid in sector_ids:
-            if self.constant.probe(sid):
-                continue
-            missed = True
-            self.l2_accesses += 1
-            if self.l2.probe(sid):
-                worst = max(worst, self.constant.spec.miss_latency)
-            else:
-                self.dram_accesses += 1
-                worst = max(worst, self.dram_latency)
-        return missed, worst
-
     def access_constant_sector(self, sid: int) -> tuple[bool, int]:
-        """:meth:`access_constant` for a single sector id.
+        """Probe the immediate-constant cache with one sector id.
 
-        Constant reads are warp-uniform (one sector per access), so the
-        specialized backend's issue path calls this instead of building
-        a one-element list per access.  Counter-for-counter identical
-        to ``access_constant([sid])``.
+        Constant reads are warp-uniform, so an access touches one
+        sector.  Returns ``(missed, latency)``: a hit costs the constant
+        cache's hit latency; a miss goes to L2 (constants are cached
+        there too) and possibly DRAM, and costs the larger of the hit
+        latency and the constant-miss or DRAM latency.
         """
         if self.constant.probe(sid):
             return False, self.constant.spec.hit_latency

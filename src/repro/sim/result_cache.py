@@ -177,7 +177,11 @@ class SimResultCache:
         with obs.tracer.span("cache.store", cat="cache",
                              key=fingerprint[:12]):
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
+            # one temp file per writing thread: the service's workers
+            # share this store and may store one key concurrently.
+            tmp = path.with_suffix(
+                f".tmp.{os.getpid()}.{threading.get_ident()}"
+            )
             injector = active_injector()
             tmp.write_text(json.dumps(doc, separators=(",", ":")))
             # simulated writer crash: the temp file exists, the entry

@@ -18,11 +18,11 @@ function:
   generated code carries them as literals;
 * every SplitMix64 roll (register-bank / dispatch hiccups, i-cache
   fetch misses) and every address-generator access shape is
-  precomputed per warp into flat tables — the rolls vectorized with
-  numpy (bit-identical to the scalar path: the int→float64 cast
-  rounds nearest-even and the division by 2**64 is exact), the memory
-  shapes via :meth:`AddressGenerator.access_runs` which delegates to
-  the scalar methods.
+  precomputed per warp into flat tables, built per run and dropped
+  block by block — the rolls vectorized with numpy (bit-identical to
+  the scalar path: the int→float64 cast rounds nearest-even and the
+  division by 2**64 is exact), the memory shapes by numpy mirrors of
+  the common address patterns and the scalar generator otherwise.
 
 Bit-identity with the frozen ``sm_reference`` oracle is the contract,
 pinned by the golden fixture and the randomized equivalence tests.
@@ -63,7 +63,7 @@ if TYPE_CHECKING:
 
 #: bump when generated-code semantics change; part of the source key,
 #: so stale persisted drivers from older schemas can never be loaded.
-SPECIALIZE_SCHEMA = "repro/sim-specialize@6"
+SPECIALIZE_SCHEMA = "repro/sim-specialize@7"
 
 #: hard ceilings on what we will compile.  Beyond them the generated
 #: source / per-warp tables stop paying for themselves; the reference
@@ -242,71 +242,38 @@ class _Plan:
 # runtime tables (per SM simulation; seed/launch/sm_index live here)
 # ----------------------------------------------------------------------
 class _RuntimeTables:
-    """Per-warp roll / fetch / memory-shape tables, built lazily in
-    block chunks as the driver spawns blocks.
+    """Per-warp roll / fetch / memory-shape tables for one SM run,
+    built lazily in block chunks as the driver spawns blocks; each
+    block's tables are handed to the driver once and dropped.
 
     Rolls and fetch misses are numpy-vectorized SplitMix64 grids over
-    (warp, iteration, pc); memory shapes delegate to the scalar
-    :meth:`AddressGenerator.access_runs` so they are bit-identical by
-    construction.
+    (warp, iteration, pc).  Memory shapes come from numpy mirrors of
+    :class:`AddressGenerator` for RANDOM accesses and for narrow-stride
+    STREAM/STRIDED accesses that do not wrap the working set; every
+    other shape (and constant reads) takes the scalar generator path,
+    so each entry matches the reference scan's bit for bit.
     """
 
-    __slots__ = ("_sim", "_plan", "_wpb", "_chunk", "_prepared",
-                 "_retained")
+    __slots__ = ("_sim", "_plan", "_wpb", "_chunk", "_prepared")
 
-    def __init__(self, sim: "SMSimulator", plan: _Plan,
-                 driver: "_Driver | None" = None) -> None:
+    def __init__(self, sim: "SMSimulator", plan: _Plan) -> None:
         self._sim = sim
         self._plan = plan
         self._wpb = sim.launch.warps_per_block
         # amortize numpy dispatch over ~32k tokens per build.
         self._chunk = max(1, 32768 // max(1, self._wpb * plan.tokens))
         self._prepared: dict[int, tuple] = {}
-        # tables are pure functions of (seed, sm, launch shape, roll
-        # rates) — everything else is already pinned by the driver key.
-        # Repeated runs of the same combination (benchmarks, replay
-        # passes) reuse the built chunks instead of regenerating them,
-        # bounded by _TABLE_CACHE_TOKENS / _TABLE_CACHE_RUNS.
-        self._retained = False
-        if driver is not None and (
-            sim.blocks_total * self._wpb * max(1, plan.tokens)
-            <= _TABLE_CACHE_TOKENS
-        ):
-            run_key = (
-                sim._seed_acc, sim.sm_index, sim.blocks_total,
-                self._wpb, sim._disp_rate, sim._bank_rate,
-            )
-            cache = driver.tables_cache
-            prep = cache.get(run_key)
-            if prep is None:
-                if len(cache) >= _TABLE_CACHE_RUNS:
-                    cache.clear()
-                prep = cache[run_key] = {}
-            self._prepared = prep
-            self._retained = True
 
     def block_tables(self, block_id: int) -> tuple:
-        """(rolls, fetch, mem, slots_sum) tables for one block: the
-        first three are rows indexed by the warp's position within the
-        block; ``slots_sum`` is the block's total LSU wavefront slots
-        across every memory access, pre-summed for the driver's
-        spawn-time hot-counter charge."""
-        prep = self._prepared
-        t = prep.get(block_id)
-        if t is None:
+        """(rolls, fetch, mem, slots_sum, access_sum) tables for one
+        block: the first three are rows indexed by the warp's position
+        within the block; ``slots_sum`` is the block's total LSU
+        wavefront slots across every memory access and ``access_sum``
+        its L1 sector accesses over the inline-probed global/tex
+        entries, both pre-summed for the driver's spawn-time charge."""
+        if block_id not in self._prepared:
             self._build(block_id)
-            t = prep[block_id]
-        if self._retained:
-            rolls = t[0]
-            if rolls is not None:
-                # the driver pops consumed hiccup tokens from these
-                # dicts — hand out fresh copies so the cached rows
-                # stay pristine for the next run.
-                return ([dict(r) for r in rolls], t[1], t[2], t[3],
-                        t[4])
-        else:
-            del prep[block_id]
-        return t
+        return self._prepared.pop(block_id)
 
     def _build(self, b0: int) -> None:
         sim = self._sim
@@ -389,23 +356,21 @@ class _RuntimeTables:
 
             Runs confined to one L1 line (the overwhelmingly common
             coalesced shape) get the probe geometry precomputed —
-            (trans, fetch-cost, wavefront-cost, l1 line, l1 set,
-            l2 line, l2 set) — so the driver can run the sectored
-            lookup of ``access_global_span``'s single-line fast path
-            inline.  Everything else keeps the
-            (trans, fetch-cost, wavefront-cost, first, payload) shape
-            and goes through the memory-hierarchy call.
+            (trans, wavefront-cost, l1 line, l1 set, l2 line, l2 set)
+            — so the driver can run the sectored lookup of
+            ``access_global_span``'s single-line fast path inline.
+            Everything else keeps the
+            (trans, wavefront-cost, first, payload) shape and goes
+            through the memory-hierarchy call.
             """
             if first >= 0:
                 l1l = first >> sh1
                 if l1l == (first + n - 1) >> sh1:
                     asum[wi] += n
                     l2l = first >> sh2
-                    return (trans, 1 + (trans - 1) // 4,
-                            (trans + 1) // 2, l1l, l1l % ns1,
+                    return (trans, (trans + 1) // 2, l1l, l1l % ns1,
                             l2l, l2l % ns2)
-            return (trans, 1 + (trans - 1) // 4, (trans + 1) // 2,
-                    first, payload)
+            return (trans, (trans + 1) // 2, first, payload)
         for _j, pc, kind, pattern, act in plan.table_pcs:
             gen = sim.generators[pattern]
             col = []
@@ -455,7 +420,7 @@ class _RuntimeTables:
                             trans = 1
                         if shared:
                             sl += trans
-                            row.append((trans, trans, (trans + 1) // 2))
+                            row.append((trans, (trans + 1) // 2))
                         else:
                             sl += 1 + (trans - 1) // 4
                             row.append(_entry(-1, n, ded, trans, wi))
@@ -511,7 +476,7 @@ class _RuntimeTables:
                             trans = 1
                         if shared:
                             sl += trans
-                            row.append((trans, trans, (trans + 1) // 2))
+                            row.append((trans, (trans + 1) // 2))
                         else:
                             sl += 1 + (trans - 1) // 4
                             row.append(_entry(first, n, payload,
@@ -536,7 +501,7 @@ class _RuntimeTables:
                             trans = 1
                         if shared:
                             sl += trans
-                            row.append((trans, trans, (trans + 1) // 2))
+                            row.append((trans, (trans + 1) // 2))
                         else:
                             sl += 1 + (trans - 1) // 4
                             row.append(_entry(first, n, payload,
@@ -560,29 +525,18 @@ class _RuntimeTables:
 # ----------------------------------------------------------------------
 # driver cache + source persistence
 # ----------------------------------------------------------------------
-#: retain built runtime tables only for runs this small (total dynamic
-#: tokens = blocks * warps/block * iterations * body length).
-_TABLE_CACHE_TOKENS = 1 << 21
-
-#: distinct (seed, sm, launch, rates) combinations retained per driver
-#: before the table cache is dropped wholesale.
-_TABLE_CACHE_RUNS = 16
-
-
 class _Driver:
-    __slots__ = ("key", "plan", "fn", "source", "tables_cache")
+    __slots__ = ("key", "plan", "fn", "source")
 
     def __init__(self, key: str, plan: _Plan, fn, source: str) -> None:
         self.key = key
         self.plan = plan
         self.fn = fn
         self.source = source
-        #: run-key -> {block_id: prepared chunk}; see _RuntimeTables.
-        self.tables_cache: dict[tuple, dict[int, tuple]] = {}
 
     def drive(self, sim: "SMSimulator") -> None:
         """Run ``sim``'s cycle loop; counters land in its accumulators."""
-        sim._tables = _RuntimeTables(sim, self.plan, self)
+        sim._tables = _RuntimeTables(sim, self.plan)
         self.fn(sim)
 
 
@@ -1155,38 +1109,38 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                 em.line(f"complete = done + {shl}")
                 sbk = 2
             else:
-                # 7-tuple: single-L1-line access with the probe
+                # 6-tuple: single-L1-line access with the probe
                 # geometry precomputed at table-build time — run the
                 # sectored lookup inline (the access count was charged
                 # at spawn; only misses and L2 hits are tracked here).
-                with em.blk("if len(e_) == 7:"):
-                    em.line("cs = l1s[e_[4]]")
-                    with em.blk("if e_[3] in cs:"):
-                        with em.blk("if cs[-1] != e_[3]:"):
-                            em.line("cs.remove(e_[3])")
-                            em.line("cs.append(e_[3])")
+                with em.blk("if len(e_) == 6:"):
+                    em.line("cs = l1s[e_[3]]")
+                    with em.blk("if e_[2] in cs:"):
+                        with em.blk("if cs[-1] != e_[2]:"):
+                            em.line("cs.remove(e_[2])")
+                            em.line("cs.append(e_[2])")
                         em.line("lat = L1HIT")
                     with em.blk("else:"):
                         em.line("m1 += 1")
                         with em.blk("if len(cs) >= W1:"):
                             em.line("cs.pop(0)")
-                        em.line("cs.append(e_[3])")
-                        em.line("cs2 = l2s[e_[6]]")
-                        with em.blk("if e_[5] in cs2:"):
-                            with em.blk("if cs2[-1] != e_[5]:"):
-                                em.line("cs2.remove(e_[5])")
-                                em.line("cs2.append(e_[5])")
+                        em.line("cs.append(e_[2])")
+                        em.line("cs2 = l2s[e_[5]]")
+                        with em.blk("if e_[4] in cs2:"):
+                            with em.blk("if cs2[-1] != e_[4]:"):
+                                em.line("cs2.remove(e_[4])")
+                                em.line("cs2.append(e_[4])")
                             em.line("h2c += 1")
                             em.line("lat = L2LAT")
                         with em.blk("else:"):
                             with em.blk("if len(cs2) >= W2:"):
                                 em.line("cs2.pop(0)")
-                            em.line("cs2.append(e_[5])")
+                            em.line("cs2.append(e_[4])")
                             em.line("lat = DRAML")
-                with em.blk("elif e_[3] >= 0:"):
-                    em.line("lat = g_span(e_[3], e_[4])")
+                with em.blk("elif e_[2] >= 0:"):
+                    em.line("lat = g_span(e_[2], e_[3])")
                 with em.blk("else:"):
-                    em.line("lat = g_list(e_[4])")
+                    em.line("lat = g_list(e_[3])")
                 em.line("complete = done + lat")
                 sbk = 1
             if body[pc].opcode.loads and dst is not None:
@@ -1194,7 +1148,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
             with em.blk("if complete > lastm[s]:"):
                 em.line("lastm[s] = complete")
             with em.blk("if trans > 1:"):
-                em.line("t_ = cycle + e_[2]")
+                em.line("t_ = cycle + e_[1]")
                 with em.blk("if t_ > dbusy[smp_i]:"):
                     em.line("dbusy[smp_i] = t_")
                 em.line("rdy[s] = t_")

@@ -16,9 +16,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import stat
+import threading
 
 import pytest
 
+from repro.fsutil import atomic_write_text
 from repro.resilience import RunJournal
 from repro.service.journal import ReplayedJob, ServiceJournal
 
@@ -260,3 +263,37 @@ def test_fsyncs_per_record_and_rewrite(session, tmp_path, monkeypatch):
     # the first append's rewrite syncs the file and its directory; then
     # one fsync per event.
     assert len(fsyncs) == 2 + len(states) - 1
+
+
+def test_concurrent_atomic_writes_of_one_path(tmp_path, monkeypatch):
+    # both writers are held after their temp write, before the rename:
+    # a shared temp name would let the first rename take the second
+    # writer's file.
+    barrier = threading.Barrier(2, timeout=10)
+    real_fsync = os.fsync
+
+    def held_fsync(fd):
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            barrier.wait()
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", held_fsync)
+    path = tmp_path / "out.txt"
+    errors = []
+
+    def write(text):
+        try:
+            atomic_write_text(path, text)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(text,))
+               for text in ("a\n", "b\n")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert errors == []
+    assert path.read_text(encoding="utf-8") in ("a\n", "b\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

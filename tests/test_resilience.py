@@ -9,6 +9,7 @@ schedules and bit-identical health summaries, not probabilities.
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -47,6 +48,7 @@ from repro.sim.engine import (
     max_jobs,
     resolve_jobs,
 )
+from repro.sim.result_cache import EvictingResultCache
 from repro.workloads.base import Application, KernelInvocation, Suite
 
 from tests.conftest import build_stream_kernel
@@ -556,6 +558,41 @@ class TestCacheCrashConsistency:
         assert result.duration_cycles == baseline.duration_cycles
         assert engine.health.cache_write_failures == 1
         assert not engine.health.degraded
+
+    def test_concurrent_stores_of_one_key_both_land(self, tmp_path, turing):
+        # the daemon's worker threads share one store: two jobs that
+        # need the same uncached cell both simulate and store it.  Hold
+        # both writers between the temp write and the rename.
+        prog = _kernel("cacherace")
+        result = self._result(turing, prog)
+        cache = EvictingResultCache(tmp_path)
+        key = sim_fingerprint(prog, LAUNCH, turing, DEFAULT_CONFIG)
+        barrier = threading.Barrier(2, timeout=10)
+        errors = []
+
+        def store():
+            try:
+                cache.store(key, result)
+            except Exception as exc:
+                errors.append(exc)
+
+        with install_faults(None) as injector:
+            injector.fire_cache_write = lambda _key: barrier.wait()
+            threads = [threading.Thread(target=store) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        assert errors == []
+        path = cache.path_for(key)
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        loaded = cache.load(key, prog, LAUNCH, turing)
+        assert loaded is not None
+        assert loaded.duration_cycles == result.duration_cycles
+        size = path.stat().st_size
+        assert cache.total_bytes == size
+        assert EvictingResultCache(tmp_path).total_bytes == size
 
 
 # ---------------------------------------------------------------------------

@@ -71,28 +71,24 @@ class TestSectorCache:
         assert c.probe(sids[0]) is False
         assert c.probe(sids[2]) is True
 
-    def test_flush_empties(self):
-        c = self._cache()
-        c.probe(1)
-        c.flush()
-        assert c.probe(1) is False
-
     def test_capacity_miss_on_big_working_set(self):
         c = self._cache(size=4096)
         sectors = 4 * (4096 // 32)  # 4x capacity
         for s in range(sectors):
             c.probe(s * 4)  # one sector per line
-        c.reset_stats()
+        hits, accesses = c.hits, c.accesses
         for s in range(sectors):
             c.probe(s * 4)
-        assert c.hit_rate == 0.0  # streaming working set 4x cache: all miss
+        # streaming working set 4x cache: the second pass all misses.
+        assert c.accesses - accesses == sectors
+        assert c.hits == hits
 
     def test_hit_rate_resident_working_set(self):
         c = self._cache(size=4096)
         for _ in range(3):
             for s in range(16):
                 c.probe(s)
-        assert c.hit_rate > 0.5
+        assert c.hits / c.accesses > 0.5
 
 
 class TestMemoryHierarchy:
@@ -129,9 +125,9 @@ class TestMemoryHierarchy:
 
     def test_constant_miss_flagged(self):
         h = self._hier()
-        missed, lat = h.access_constant([9])
+        missed, lat = h.access_constant_sector(9)
         assert missed and lat >= 120
-        missed2, lat2 = h.access_constant([9])
+        missed2, lat2 = h.access_constant_sector(9)
         assert not missed2 and lat2 == 4
 
     def test_worst_sector_dominates(self):

@@ -10,13 +10,16 @@ file pins the *correctness* half of the contract:
   bit for bit;
 * declined programs run on the reference scan transparently, with
   the fallback visible in observability;
-* the driver cache (in-process + persisted source) and the per-run
-  table cache behave: hits/misses counted, corrupt persisted sources
-  regenerated, reuse bit-identical;
+* the driver cache (in-process + persisted source) behaves:
+  hits/misses counted, corrupt persisted sources regenerated, reuse
+  bit-identical; a run's tables do not outlive it;
 * the backend selection is threaded through the engine/CLI plumbing.
 """
 
 from __future__ import annotations
+
+import gc
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -280,19 +283,28 @@ def test_source_persistence_roundtrip(tmp_path):
         clear_driver_cache()
 
 
-def test_runtime_table_cache_reused_across_runs():
+def test_runtime_tables_live_for_one_run():
+    """A run builds its roll, fetch and memory tables and drops them:
+    once the driver is compiled, another run at a new seed leaves
+    (almost) nothing behind."""
     program = DIRECTED["barrier_drain"]()
-    launch = LaunchConfig(blocks=4, threads_per_block=128)
-    config = SimConfig(seed=5)
+    launch = LaunchConfig(blocks=288, threads_per_block=128)
     clear_driver_cache()
     try:
-        first = _run(SMSimulator, program, launch, config)
-        driver = driver_for(program, SPEC, config)
-        assert driver.tables_cache, "per-run table cache not populated"
-        keys = set(driver.tables_cache)
-        again = _run(SMSimulator, program, launch, config)
-        assert set(driver.tables_cache) == keys
-        assert counters_to_doc(again) == counters_to_doc(first)
+        _run(SMSimulator, program, launch, SimConfig(seed=5))
+        assert not isinstance(
+            driver_for(program, SPEC, SimConfig(seed=5)), str
+        )
+        config = SimConfig(seed=6)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _run(SMSimulator, program, launch, config)
+            gc.collect()
+            kept, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 32 * 1024, f"one run kept {kept} bytes alive"
     finally:
         clear_driver_cache()
 
