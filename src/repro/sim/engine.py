@@ -100,17 +100,14 @@ def _simulate_kernel_cell(key: str, item, attempt: int) -> "KernelSimResult":
     return result
 
 
-def _pool_worker_init(fault_spec: str, obs_args, backend: str = "",
-                      source_dir: str = "") -> None:
+def _pool_worker_init(fault_spec: str, obs_args, backend: str) -> None:
     """Pool initializer: install the fault plan, obs, and simulator
     backend in workers.
 
     The backend selection is process-global (see
     :mod:`repro.sim.backend`), so fork-based pools inherit it — but
     spawn-based platforms would silently revert to the default, hence
-    the explicit re-install here.  ``source_dir`` points workers at
-    the persisted-driver directory so they reuse generated sources
-    instead of re-running codegen per process.
+    the explicit re-install here.
     """
     if fault_spec:
         from repro.resilience.faults import worker_init
@@ -120,14 +117,9 @@ def _pool_worker_init(fault_spec: str, obs_args, backend: str = "",
         from repro.obs.runtime import worker_obs_init
 
         worker_obs_init(*obs_args)
-    if backend:
-        from repro.sim.backend import set_backend
+    from repro.sim.backend import set_backend
 
-        set_backend(backend)
-    if source_dir:
-        from repro.sim.specialize import configure_source_dir
-
-        configure_source_dir(source_dir)
+    set_backend(backend)
 
 
 def _timeout_own_fault(injector, future, key: str, attempt: int) -> bool:
@@ -216,26 +208,22 @@ class ExecutionEngine:
             from repro.resilience.faults import active_injector
 
             from repro.sim import backend as sim_backend
-            from repro.sim import specialize
 
             plan = active_injector().plan
             obs_args = active_obs().worker_init_args()
             backend = sim_backend.current_backend()
-            src_dir = specialize._SOURCE_DIR
             initializer, initargs = None, ()
             if (not plan.empty or obs_args is not None
-                    or backend != sim_backend.DEFAULT_BACKEND
-                    or src_dir is not None):
+                    or backend != sim_backend.DEFAULT_BACKEND):
                 # fork inherits the installed fault plan for free; the
                 # initializer covers spawn-based platforms too, and
-                # (re)installs worker-side observability, backend
-                # selection and the driver source dir either way.
+                # (re)installs worker-side observability and backend
+                # selection either way.
                 initializer = _pool_worker_init
                 initargs = (
                     plan.spec_string() if not plan.empty else "",
                     obs_args,
                     backend,
-                    str(src_dir) if src_dir is not None else "",
                 )
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
@@ -770,9 +758,7 @@ def engine_context(
     so pool workers inherit it.  ``retries``/``deadline_s`` configure
     the engine's :class:`~repro.resilience.policy.RetryPolicy`.
     ``backend`` selects the SM cycle-loop implementation for the block
-    (see :mod:`repro.sim.backend`); with a persistent cache configured,
-    generated specialized drivers are persisted alongside it under
-    ``<cache>/specialized/``.
+    (see :mod:`repro.sim.backend`).
 
     A ``cache`` *instance* wins over ``cache_dir``: the service daemon
     passes its long-lived eviction-aware store here so every engine
@@ -792,10 +778,6 @@ def engine_context(
             cache = None
         elif cache is None and cache_dir is not None:
             cache = SimResultCache(cache_dir)
-        if cache is not None:
-            from repro.sim.specialize import source_dir as _sdir
-
-            stack.enter_context(_sdir(cache.root / "specialized"))
         retry = RetryPolicy(
             max_attempts=retries if retries is not None else 3,
             deadline_s=deadline_s,

@@ -158,7 +158,10 @@ class SimResultCache:
         place.  A writer that dies at *any* point (the ``cache.write``
         fault site simulates exactly that, between the temp write and
         the rename) leaves either the old entry or no entry — never a
-        half-written shard a reader could see.
+        half-written shard a reader could see.  A write that fails with
+        ``OSError`` (disk full, say) removes its temp file and re-raises:
+        no glob of the store sees a temp, so a left one would sit outside
+        the byte cap for good.
         """
         from repro.io.counters_json import counters_to_doc
         from repro.resilience.faults import active_injector
@@ -183,11 +186,16 @@ class SimResultCache:
                 f".tmp.{os.getpid()}.{threading.get_ident()}"
             )
             injector = active_injector()
-            tmp.write_text(json.dumps(doc, separators=(",", ":")))
-            # simulated writer crash: the temp file exists, the entry
-            # does not — the atomic-rename protocol makes this invisible.
-            injector.fire_cache_write(fingerprint)
-            os.replace(tmp, path)
+            try:
+                tmp.write_text(json.dumps(doc, separators=(",", ":")))
+                # simulated writer crash: the temp file exists, the
+                # entry does not — the atomic-rename protocol makes
+                # this invisible.
+                injector.fire_cache_write(fingerprint)
+                os.replace(tmp, path)
+            except OSError:
+                tmp.unlink(missing_ok=True)
+                raise
             # durability, not just crash consistency: the rename is
             # directory metadata — fsync the shard directory so the
             # entry survives power loss too.

@@ -33,20 +33,16 @@ in the ``sim.specialize_fallbacks`` obs metric, docs/OBSERVABILITY.md).
 Compiled drivers are keyed by a sha-256 content digest of
 ``(program, spec, scheduler, hiccups on/off)`` — runtime-only knobs
 (seed, max_cycles, rate *values*, residency) stay out of the key — and
-cached in-process; generated sources are also persisted next to the
-result cache (``<cache>/specialized/<key>.py``) so later processes
-skip codegen (they still re-exec the source, which is cheap).
+cached in the process that compiled them.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as _np
 
-from repro.fsutil import atomic_write_text
 from repro.isa.instruction import AccessKind
 from repro.isa.opcodes import OpClass, Opcode
 from repro.isa.program import KernelProgram
@@ -60,10 +56,6 @@ from repro.sim.warp import Warp
 if TYPE_CHECKING:
     from repro.arch.spec import GPUSpec
     from repro.sim.sm import SMSimulator
-
-#: bump when generated-code semantics change; part of the source key,
-#: so stale persisted drivers from older schemas can never be loaded.
-SPECIALIZE_SCHEMA = "repro/sim-specialize@7"
 
 #: hard ceilings on what we will compile.  Beyond them the generated
 #: source / per-warp tables stop paying for themselves; the reference
@@ -523,13 +515,12 @@ class _RuntimeTables:
 
 
 # ----------------------------------------------------------------------
-# driver cache + source persistence
+# driver cache
 # ----------------------------------------------------------------------
 class _Driver:
-    __slots__ = ("key", "plan", "fn", "source")
+    __slots__ = ("plan", "fn", "source")
 
-    def __init__(self, key: str, plan: _Plan, fn, source: str) -> None:
-        self.key = key
+    def __init__(self, plan: _Plan, fn, source: str) -> None:
         self.plan = plan
         self.fn = fn
         self.source = source
@@ -543,10 +534,6 @@ class _Driver:
 #: key -> _Driver (compiled) or str (decline reason).
 _DRIVER_CACHE: dict[str, "_Driver | str"] = {}
 
-#: where generated sources persist (``<result-cache>/specialized``);
-#: ``None`` disables persistence.
-_SOURCE_DIR: Path | None = None
-
 
 def specialization_key(program: KernelProgram, spec: "GPUSpec",
                        config: SimConfig) -> str:
@@ -557,29 +544,10 @@ def specialization_key(program: KernelProgram, spec: "GPUSpec",
     and spec encodings come from the fingerprint module's per-object
     memo, so re-keying a long-lived program per SM run is cheap."""
     return content_digest(
-        SPECIALIZE_SCHEMA, program, spec, config.scheduler,
+        program, spec, config.scheduler,
         config.bank_conflict_rate > 0.0,
         config.dispatch_stall_rate > 0.0,
     )
-
-
-def configure_source_dir(path: "Path | str | None") -> Path | None:
-    """Set (or clear) the persistence directory; returns the previous
-    value.  Used by the engine and by pool-worker initializers."""
-    global _SOURCE_DIR
-    previous = _SOURCE_DIR
-    _SOURCE_DIR = Path(path) if path is not None else None
-    return previous
-
-
-@contextmanager
-def source_dir(path: "Path | str | None"):
-    """Scoped :func:`configure_source_dir`."""
-    previous = configure_source_dir(path)
-    try:
-        yield _SOURCE_DIR
-    finally:
-        configure_source_dir(previous)
 
 
 def clear_driver_cache() -> None:
@@ -591,7 +559,7 @@ def _compile_source(source: str, key: str):
     """exec the generated module; returns its ``drive`` function."""
     ns: dict = {}
     exec(compile(source, f"<specialized:{key[:12]}>", "exec"), ns)
-    return ns.get("drive")
+    return ns["drive"]
 
 
 def driver_for(program: KernelProgram, spec: "GPUSpec",
@@ -599,9 +567,8 @@ def driver_for(program: KernelProgram, spec: "GPUSpec",
     """Compiled driver for the combination, or a decline reason.
 
     In-process cache first (``sim.specialize_hits`` / ``_misses``
-    count exactly these lookups, so the metrics are independent of
-    disk state — determinism contract in docs/OBSERVABILITY.md),
-    persisted source second, fresh codegen last.
+    count exactly these lookups — determinism contract in
+    docs/OBSERVABILITY.md), codegen and compile on a miss.
     """
     key = specialization_key(program, spec, config)
     cached = _DRIVER_CACHE.get(key)
@@ -619,39 +586,8 @@ def driver_for(program: KernelProgram, spec: "GPUSpec",
         return reason
 
     plan = _Plan(program, spec, config)
-    source = None
-    fn = None
-    if _SOURCE_DIR is not None:
-        path = _SOURCE_DIR / f"{key}.py"
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            source = None
-        if source is not None:
-            try:
-                fn = _compile_source(source, key)
-            except Exception:
-                fn = None  # corrupt file: regenerate below
-            if fn is None:
-                source = None
-    if fn is None:
-        source = generate_driver_source(program, spec, config)
-        fn = _compile_source(source, key)
-        if fn is None:  # pragma: no cover - generator bug guard
-            raise RuntimeError(
-                f"specializer produced no drive() for {program.name!r}"
-            )
-        if _SOURCE_DIR is not None:
-            try:
-                _SOURCE_DIR.mkdir(parents=True, exist_ok=True)
-                # a regenerable cache: crash consistency, no fsync.
-                atomic_write_text(_SOURCE_DIR / f"{key}.py", source,
-                                  durable=False)
-            except OSError:
-                # persistence is best-effort; the in-process cache still
-                # holds the driver.
-                pass
-    driver = _Driver(key, plan, fn, source)
+    source = generate_driver_source(program, spec, config)
+    driver = _Driver(plan, _compile_source(source, key), source)
     _DRIVER_CACHE[key] = driver
     return driver
 
@@ -1192,7 +1128,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
 
     # -- module header -------------------------------------------------
     em.line("# generated by repro.sim.specialize "
-            f"({SPECIALIZE_SCHEMA}) for kernel {program.name!r}")
+            f"for kernel {program.name!r}")
     em.line(f"# scheduler={config.scheduler} smsp={nsmsp} "
             f"body={nbody} iterations={iters}")
     em.line("from bisect import insort")

@@ -32,7 +32,11 @@ from repro.sim import (
 )
 from repro.sim.fingerprint import FINGERPRINT_SCHEMA, canonicalize
 from repro.sim.result_cache import RESULT_SCHEMA
-from repro.sim.specialize import SPECIALIZE_SCHEMA, specialization_key
+from repro.sim.specialize import (
+    clear_driver_cache,
+    driver_for,
+    specialization_key,
+)
 
 from tests.conftest import build_stream_kernel
 
@@ -128,7 +132,7 @@ class TestKeysUnchanged:
         config = SimConfig(seed=seed)
         for inv in _bundled_invocations():
             expected = _seed_formula(
-                SPECIALIZE_SCHEMA, inv.program, spec, config.scheduler,
+                inv.program, spec, config.scheduler,
                 config.bank_conflict_rate > 0.0,
                 config.dispatch_stall_rate > 0.0,
             )
@@ -318,6 +322,28 @@ class TestPersistentCache:
             reloaded = GPUSimulator(turing).launch(prog, LAUNCH)
             assert engine.cache.stats.hits == 1
         assert reloaded.per_sm == baseline.per_sm
+
+    def test_store_backed_run_writes_only_result_shards(
+        self, turing, tmp_path
+    ):
+        """Compiling a driver leaves nothing next to the store: the
+        cache directory holds result shards and nothing else."""
+        prog = build_stream_kernel("shards_only")
+        clear_driver_cache()
+        try:
+            with engine_context(jobs=1, cache_dir=tmp_path) as engine:
+                engine.simulate(turing, prog, LAUNCH, DEFAULT_CONFIG)
+                assert engine.cache.stats.stores == 1
+            # the run compiled a driver (so there was source to persist).
+            assert not isinstance(
+                driver_for(prog, turing, DEFAULT_CONFIG), str
+            )
+        finally:
+            clear_driver_cache()
+        key = sim_fingerprint(prog, LAUNCH, turing, DEFAULT_CONFIG)
+        assert sorted(
+            p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+        ) == [key[:2], f"{key[:2]}/{key}.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -559,6 +559,33 @@ class TestCacheCrashConsistency:
         assert engine.health.cache_write_failures == 1
         assert not engine.health.degraded
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, turing,
+                                              monkeypatch):
+        """A write that fails part way (disk full) is no crash: its temp
+        file goes too, since no glob of the store would ever count or
+        evict it."""
+        import errno
+        from pathlib import Path
+
+        prog = _kernel("cachefull")
+        baseline = self._result(turing, prog)
+        write_text = Path.write_text
+
+        def disk_full(path, text, *args, **kwargs):
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", disk_full)
+            with engine_context(jobs=1, cache_dir=tmp_path) as engine:
+                result = engine.simulate(
+                    turing, prog, LAUNCH, DEFAULT_CONFIG
+                )
+        assert result.duration_cycles == baseline.duration_cycles
+        assert engine.health.cache_write_failures == 1
+        key = sim_fingerprint(prog, LAUNCH, turing, DEFAULT_CONFIG)
+        assert list(engine.cache.path_for(key).parent.iterdir()) == []
+
     def test_concurrent_stores_of_one_key_both_land(self, tmp_path, turing):
         # the daemon's worker threads share one store: two jobs that
         # need the same uncached cell both simulate and store it.  Hold

@@ -4,6 +4,7 @@ worker pool (retry, quarantine, hang abandonment) and drain semantics.
 
 from __future__ import annotations
 
+import re
 import threading
 
 import pytest
@@ -175,6 +176,38 @@ class TestExecution:
         assert doc["kind"] == "app"
         assert doc["result"]["name"] == "nn"
         assert manager.drain(timeout_s=10)
+
+    def test_cold_job_leaves_only_shards_within_the_cap(self, tmp_path):
+        """Under the daemon's engine (``cache=manager.store``, as
+        ``run_serve`` installs it) a cold job compiles drivers, yet the
+        store holds result shards and ``index.json`` only — nothing
+        outside the byte cap's accounting."""
+        from repro.sim.engine import engine_context
+        from repro.sim.specialize import clear_driver_cache
+
+        cap = 8_000
+        manager = _manager(tmp_path, store_max_bytes=cap)
+        clear_driver_cache()
+        try:
+            with engine_context(jobs=1, cache=manager.store):
+                manager.start()
+                record, _ = manager.submit(NN_JOB)
+                assert manager.wait_idle(timeout_s=60)
+                assert manager.drain(timeout_s=10)
+        finally:
+            clear_driver_cache()
+        assert record.state == "done"
+        root = tmp_path / "state" / "store"
+        files = [p for p in root.rglob("*") if p.is_file()]
+        shards = [p for p in files if p != root / "index.json"]
+        assert shards
+        for path in shards:
+            assert re.fullmatch(
+                r"[0-9a-f]{2}/[0-9a-f]{64}\.json",
+                path.relative_to(root).as_posix(),
+            ), path
+        total = sum(p.stat().st_size for p in shards)
+        assert total == manager.store.total_bytes <= cap
 
     def test_concurrent_clients_share_one_job(self, tmp_path):
         """N threads race to submit the same spec: exactly one job is

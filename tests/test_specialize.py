@@ -10,10 +10,12 @@ file pins the *correctness* half of the contract:
   bit for bit;
 * declined programs run on the reference scan transparently, with
   the fallback visible in observability;
-* the driver cache (in-process + persisted source) behaves:
-  hits/misses counted, corrupt persisted sources regenerated, reuse
-  bit-identical; a run's tables do not outlive it;
-* the backend selection is threaded through the engine/CLI plumbing.
+* the in-process driver cache behaves: hits/misses counted, reuse
+  bit-identical, nothing written to disk; a run's tables do not
+  outlive it;
+* the backend selection is threaded through the engine/CLI plumbing,
+  and an engine that only opens a store loads neither the specializer
+  nor numpy.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ from repro.sim.specialize import (
     check_supported,
     clear_driver_cache,
     driver_for,
-    source_dir,
-    specialization_key,
 )
 from tests.test_property_sim import small_programs
 
@@ -238,51 +238,6 @@ def test_driver_cache_hit_miss_metrics():
         clear_driver_cache()
 
 
-def test_source_persistence_roundtrip(tmp_path):
-    program = _divergence_kernel()
-    config = SimConfig(seed=1)
-    launch = LaunchConfig(blocks=2, threads_per_block=64)
-    key = specialization_key(program, SPEC, config)
-    path = tmp_path / f"{key}.py"
-    clear_driver_cache()
-    try:
-        with source_dir(tmp_path):
-            first = _run(SMSimulator, program, launch, config)
-            assert path.is_file(), "generated source not persisted"
-            text = path.read_text(encoding="utf-8")
-
-            # a fresh process (simulated by clearing the in-process
-            # cache) loads the persisted source instead of re-running
-            # codegen, bit-identically.
-            clear_driver_cache()
-            again = _run(SMSimulator, program, launch, config)
-            assert counters_to_doc(again) == counters_to_doc(first)
-
-            # a corrupt persisted source (truncated write, not valid
-            # python) is regenerated, not trusted.
-            path.write_text("def drive(sim:\n    (", encoding="utf-8")
-            clear_driver_cache()
-            healed = _run(SMSimulator, program, launch, config)
-            assert counters_to_doc(healed) == counters_to_doc(first)
-            assert path.read_text(encoding="utf-8") == text
-
-            # ...as is one that parses but lacks the entry point.
-            path.write_text("x = 1\n", encoding="utf-8")
-            clear_driver_cache()
-            healed = _run(SMSimulator, program, launch, config)
-            assert counters_to_doc(healed) == counters_to_doc(first)
-            assert path.read_text(encoding="utf-8") == text
-
-            # ...and one that is not UTF-8.
-            path.write_bytes(b"\xff" + text.encode("utf-8"))
-            clear_driver_cache()
-            healed = _run(SMSimulator, program, launch, config)
-            assert counters_to_doc(healed) == counters_to_doc(first)
-            assert path.read_text(encoding="utf-8") == text
-    finally:
-        clear_driver_cache()
-
-
 def test_runtime_tables_live_for_one_run():
     """A run builds its roll, fetch and memory tables and drops them:
     once the driver is compiled, another run at a new seed leaves
@@ -332,14 +287,25 @@ def test_backend_selection_and_factory():
 
 
 def test_engine_context_threads_backend_and_source_dir(tmp_path):
-    from repro.sim import specialize
+    """The backend is installed for the block; driver sources stay in
+    the process that compiled them, never next to the store."""
     from repro.sim.engine import engine_context
 
+    program = _divergence_kernel()
+    launch = LaunchConfig(blocks=2, threads_per_block=64)
     with engine_context(jobs=1, cache_dir=tmp_path, backend="reference"):
         assert current_backend() == "reference"
-        assert specialize._SOURCE_DIR == tmp_path / "specialized"
     assert current_backend() == DEFAULT_BACKEND
-    assert specialize._SOURCE_DIR is None
+    clear_driver_cache()
+    try:
+        with engine_context(jobs=1, cache_dir=tmp_path) as engine:
+            engine.simulate(SPEC, program, launch, SimConfig(seed=1))
+        assert not isinstance(
+            driver_for(program, SPEC, SimConfig(seed=1)), str
+        )
+    finally:
+        clear_driver_cache()
+    assert not (tmp_path / "specialized").exists()
 
 
 def test_cli_backend_flag_parses():
@@ -357,18 +323,32 @@ def test_cli_backend_flag_parses():
         assert parsed.backend == name
 
 
-def test_import_repro_sim_stays_lazy():
+def test_import_repro_sim_stays_lazy(tmp_path):
     """``import repro.sim`` loads neither the specializer (nor numpy)
-    nor the reference scan: each is imported on first use."""
+    nor the reference scan: each is imported on first use.  Nor does
+    an engine that opens a store and a pool but simulates nothing."""
     import subprocess
     import sys
 
-    script = (
-        "import sys\n"
-        "import repro.sim\n"
-        "print(sorted(m for m in ('numpy', 'repro.sim.specialize',"
-        " 'repro.sim.sm_reference') if m in sys.modules))\n"
+    def loaded(body: str, modules: tuple[str, ...]) -> str:
+        script = (
+            "import sys\n"
+            f"{body}"
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.strip()
+
+    assert loaded("import repro.sim\n", (
+        "numpy", "repro.sim.specialize", "repro.sim.sm_reference",
+    )) == "[]"
+    engine = (
+        "from repro.sim.engine import ExecutionEngine, engine_context\n"
+        f"with engine_context(jobs=1, cache_dir={str(tmp_path)!r}):\n"
+        "    pass\n"
+        "engine = ExecutionEngine(jobs=2)\n"
+        "engine._executor()\n"
+        "engine.close()\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert loaded(engine, ("numpy", "repro.sim.specialize")) == "[]"
