@@ -66,6 +66,10 @@ class CacheSpec:
             )
         if self.line_bytes % self.sector_bytes != 0:
             raise ArchitectureError(f"{self.name}: line not a multiple of sector")
+        if self.hit_latency < 1:
+            raise ArchitectureError(f"{self.name}: hit_latency must be >= 1")
+        if self.miss_latency < 1:
+            raise ArchitectureError(f"{self.name}: miss_latency must be >= 1")
 
     @property
     def num_sets(self) -> int:
@@ -96,6 +100,12 @@ class MemorySpec:
     #: shared-memory (MIO path) access latency in cycles.
     shared_latency: int = 24
 
+    def __post_init__(self) -> None:
+        if self.dram_latency < 1:
+            raise ArchitectureError("dram_latency must be >= 1")
+        if self.shared_latency < 1:
+            raise ArchitectureError("shared_latency must be >= 1")
+
 
 @dataclass(frozen=True)
 class SMSpec:
@@ -123,6 +133,8 @@ class SMSpec:
             raise ArchitectureError("subpartitions must be >= 1")
         if self.warps_per_subpartition < 1:
             raise ArchitectureError("warps_per_subpartition must be >= 1")
+        if self.branch_resolve_latency < 1:
+            raise ArchitectureError("branch_resolve_latency must be >= 1")
         names = [fu.name for fu in self.functional_units]
         if len(set(names)) != len(names):
             raise ArchitectureError(f"duplicate functional unit names: {names}")

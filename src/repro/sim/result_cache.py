@@ -256,6 +256,8 @@ class EvictingResultCache(SimResultCache):
       that) are re-adopted by reading them back.  A corrupt or
       wrong-schema index is **rebuilt from the shards**, never trusted:
       the index can only mis-order evictions, not corrupt results.
+      Temp files left by a writer that died before its rename are
+      removed at open; a live writer's temp is kept.
     * **Warm-start stats** — entries/bytes found at open are reported
       (``store.warm_entries`` / ``store.warm_bytes`` gauges and
       :meth:`describe`), so ``/healthz`` can show how much simulation
@@ -325,8 +327,33 @@ class EvictingResultCache(SimResultCache):
             size=size, cost=cost, pri=self._inflate + cost / max(1, size)
         )
 
+    def _remove_dead_temps(self) -> None:
+        """Remove temp files whose writer process no longer exists.
+
+        A writer killed between its temp write and the rename leaves
+        ``<aa>/<fp>.tmp.<pid>.<tid>`` (a shard) or
+        ``index.json.tmp.<pid>.<tid>`` (the index) behind, outside the
+        shard glob and so outside the byte cap.  A live writer's temp
+        stays: CLI runs may share the store.
+        """
+        if os.name != "posix":  # os.kill(pid, 0) is no probe elsewhere
+            return
+        temps = [*self.root.glob("[0-9a-f][0-9a-f]/*.tmp.*"),
+                 *self.root.glob("index.json.tmp.*")]
+        for path in temps:
+            pid = path.name.split(".tmp.", 1)[1].split(".", 1)[0]
+            if not pid.isdigit():
+                continue
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:
+                path.unlink(missing_ok=True)
+            except PermissionError:  # alive, owned by another user
+                pass
+
     def _open_index(self) -> None:
         """Load the persisted index and reconcile it with the shards."""
+        self._remove_dead_temps()
         indexed: dict[str, _StoreEntry] = {}
         ok = False
         try:

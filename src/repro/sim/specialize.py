@@ -9,7 +9,10 @@ function:
 * the per-pc dispatch (kind, functional unit, operand registers,
   latencies, op-class counters) is baked into the generated source as
   a binary decision tree over ``pc`` with one straight-line leaf per
-  instruction — no per-issue table lookups survive;
+  instruction — no per-issue table lookups survive.  A leaf holds only
+  what differs by pc (the issue body, the pc advance and the next
+  pc's scoreboard scan); the hiccup check before the tree and the
+  post-issue park after it are emitted once per driver;
 * warp state lives in parallel lists indexed by spawn sequence number
   instead of ``Warp`` objects; the scoreboard is a packed int per
   register (``ready_cycle << 2 | sb_kind``, ``0`` = empty);
@@ -646,7 +649,11 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
     docstring for the specialization inventory.  Warps in a timed wait
     sit in per sub-partition wake heaps and are untouched until they
     wake, stall cycles are charged in bulk when a warp is next
-    examined, and cycles in which every warp sleeps are skipped.  Its
+    examined, and cycles in which every warp sleeps are skipped.  An
+    issue attempt is one hiccup check, a decision tree over ``pc``
+    whose leaves hold the issue body, the pc advance and the next
+    pc's scoreboard scan, and one post-issue park shared by every
+    leaf that does not end itself (see ``emit_attempt``).  Its
     counters must equal the reference scan's
     (``sm_reference.ReferenceSMSimulator``): classification order
     within a cycle (sub-partition major, spawn order minor) and every
@@ -717,15 +724,6 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
         _TEX: ("texq", "tex_queue", spec.memory.tex_queue_entries, 2,
                TEXI),
     }
-
-    def hiccup_mode(pc: int) -> int:
-        m = 0
-        if has_rolls:
-            if plan.bank_pcs[pc]:
-                m |= 1
-            if plan.disp_on:
-                m |= 2
-        return m
 
     def fetch_at(npc: int) -> bool:
         return has_fetch and npc % fg == 0
@@ -821,103 +819,60 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
             emit_push("rcf")
         em.line("continue")
 
-    def emit_tail(npc: int, fast: bool = True) -> None:
-        """Post-issue epilogue.
+    def emit_tail(npc: int | None, fast: bool = True) -> None:
+        """Post-issue epilogue of one leaf.
 
-        ``fast`` (the default) emits the wake-collapsed form: the next
-        instruction's scoreboard scan runs *now* with the cutoff at the
-        warp's park cycle.  All the quantities an intermediate wake-up
-        would discover are already known here — pend rows hold fixed
-        completion cycles and only this warp writes them — so the
-        intermediate wake's settle/classify bookkeeping is applied
-        arithmetically, the warp parks once at its final ready cycle,
-        and ``candf`` marks it a known candidate so the wake takes the
-        exam fast path instead of the classify tree.  Counter totals are cycle-for-cycle identical
-        to the uncollapsed path; only the loop-internal
-        processed/skipped/wake statistics (not part of
-        :class:`EventCounters`) shift.
+        ``fast`` (the default) emits the per-pc half of the
+        wake-collapsed form: the next instruction's scoreboard scan runs
+        *now* with the cutoff at the warp's ready cycle ``rc``, leaving
+        ``prdy``/``pk``, and the leaf falls out of the issue tree into
+        the park :func:`emit_attempt` emits once after it.  All the
+        quantities an intermediate wake-up would discover are already
+        known here — pend rows hold fixed completion cycles and only
+        this warp writes them.  Every fast-tail issue body leaves
+        ``rc >= cycle1`` (the spec rejects latencies below one cycle),
+        so an unparked warp's scan at ``rc`` is the scan at ``cycle1``.
 
         ``fast=False`` keeps the literal two-step park (issue, then
         wake and classify) — required for barrier waits (a barrier
         release must re-scan un-expired entries) and drain warps
-        (``candf`` must stay clear so the exam loop retires them)."""
+        (``candf`` must stay clear so the exam loop retires them).
+        It ends the leaf itself.  A draining warp passes ``npc=None``:
+        it has exited, so there is no next instruction to scan, and it
+        retires once its memory drains."""
+        regs = scan_regs(npc) if npc is not None else []
+        if fast:
+            em.line("rc = rdy[s]")
+            em.line("prdy = -1")
+            if regs:
+                emit_scan(regs, "rc", "prdy", "pk")
+            return
         if dispatch_n != 1:
             em.line("budget -= 1")
         if gto:
             em.line("greedy[smp_i] = s")
-        regs = scan_regs(npc)
-        if not fast:
-            em.line("candf[s] = False")
-            em.line("pool.remove(s)")
-            em.line("stall[s] = cycle1")
-            em.line("rc = rdy[s]")
-            with em.blk("if rc > cycle1:"):
-                emit_push("rc")
-                emit_issue_done()
-            if regs:
-                em.line("prdy = -1")
-                em.line("pk = 0")
-                emit_scan(regs, "cycle1", "prdy", "pk")
-                with em.blk("if prdy >= 0:"):
-                    em.line(f"wi = {sbt}[pk]")
-                    em.line("widx[s] = wi")
-                    em.line("sc[wi] += 1")
-                    em.line("stall[s] = cycle + 2")
-                    em.line("rdy[s] = prdy")
-                    emit_push("prdy")
-                    emit_issue_done()
-            # ready again next cycle: re-enters through the ready list
-            # (the exam pass may not have run this cycle, so the
-            # nr_app binding is not in scope here).
-            em.line("ready_l[smp_i].append(s)")
-            emit_issue_done()
-            return
-        # candidate parks below are pre-settled (full stall interval
-        # charged now, ``stall`` seated at the wake cycle) — see
-        # emit_fail; a pooled warp's ``stall`` is never read, so no
-        # seat-at-issue write is emitted.
+        em.line("candf[s] = False")
+        em.line("pool.remove(s)")
+        em.line("stall[s] = cycle1")
         em.line("rc = rdy[s]")
         with em.blk("if rc > cycle1:"):
-            em.line("pool.remove(s)")
-            if regs:
-                em.line("prdy = -1")
-                em.line("pk = 0")
-                emit_scan(regs, "rc", "prdy", "pk")
-                with em.blk("if prdy >= 0:"):
-                    # collapsed intermediate wake at rc: its settle
-                    # charge (old widx), the classify park, and the
-                    # final wake's settle in one step.
-                    em.line("sc[widx[s]] += rc - cycle1")
-                    em.line(f"wi = {sbt}[pk]")
-                    em.line("widx[s] = wi")
-                    em.line("sc[wi] += prdy - rc")
-                    em.line("stall[s] = prdy")
-                    em.line("rdy[s] = prdy")
-                    em.line("candf[s] = True")
-                    emit_push("prdy")
-                    emit_issue_done()
-            em.line("sc[widx[s]] += rc - cycle1")
-            em.line("stall[s] = rc")
-            em.line("candf[s] = True")
             emit_push("rc")
             emit_issue_done()
         if regs:
             em.line("prdy = -1")
-            em.line("pk = 0")
             emit_scan(regs, "cycle1", "prdy", "pk")
             with em.blk("if prdy >= 0:"):
-                em.line("pool.remove(s)")
                 em.line(f"wi = {sbt}[pk]")
                 em.line("widx[s] = wi")
-                em.line("sc[wi] += prdy - cycle1")
-                em.line("stall[s] = prdy")
+                em.line("sc[wi] += 1")
+                em.line("stall[s] = cycle + 2")
                 em.line("rdy[s] = prdy")
-                em.line("candf[s] = True")
                 emit_push("prdy")
                 emit_issue_done()
-        # ready for the next instruction at cycle+1 with no pending
-        # deps: the warp remains a pool candidate in place.
-        em.line("candf[s] = True")
+        # ready again next cycle: re-enters through the ready list
+        # (the exam pass may not have run this cycle, so the
+        # nr_app binding is not in scope here).
+        em.line("ready_l[smp_i].append(s)")
         emit_issue_done()
 
     def emit_fetch_check(tok_expr: str) -> None:
@@ -950,7 +905,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                 em.line("rdy[s] = lm")
                 em.line(f"widx[s] = {DRAINI}")
                 em.line("drainf[s] = True")
-                emit_tail(0, fast=False)
+                emit_tail(None, fast=False)
             with em.blk("else:"):
                 em.line("pool.remove(s)")
                 em.line("retire(s, cycle, smp_i, None)")
@@ -973,43 +928,6 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
 
     def emit_issue_leaf(pc: int) -> None:
         kind = kinds[pc]
-        mode = hiccup_mode(pc)
-        wraps = pc + 1 >= nbody
-        needs_it = (pc in tbl_by_pc or wraps
-                    or (not wraps and fetch_at(pc + 1)))
-        if needs_it:
-            em.line("it = its[s]")
-        if mode:
-            # HIC[s] holds only this warp's *pending* nonzero hiccup
-            # tokens; pop-on-hit is the consumed-once semantics the
-            # reference tracks via ``Warp.hiccup_token``.
-            # The token arithmetic folds into the (almost always
-            # failing) membership test; the park is pre-settled
-            # (sc += 2 covers the issue cycle and the one-cycle park,
-            # stall seats at the wake cycle — see emit_fail).
-            it_expr = "it" if needs_it else "its[s]"
-            tok_expr = (f"{it_expr} * {nbody} + {pc}" if pc
-                        else f"{it_expr} * {nbody}")
-            with em.blk(f"if {tok_expr} in HIC[s]:"):
-                em.line(f"hc = HIC[s].pop({tok_expr})")
-                em.line("rdy[s] = cycle + 2")
-                em.line("stall[s] = cycle + 2")
-                em.line("pool.remove(s)")
-                emit_push("cycle + 2")
-                if mode == 3:
-                    with em.blk("if hc == 1:"):
-                        em.line(f"widx[s] = {MISCI}")
-                        em.line(f"sc[{MISCI}] += 2")
-                    with em.blk("else:"):
-                        em.line(f"widx[s] = {DSTALLI}")
-                        em.line(f"sc[{DSTALLI}] += 2")
-                elif mode == 1:
-                    em.line(f"widx[s] = {MISCI}")
-                    em.line(f"sc[{MISCI}] += 2")
-                else:
-                    em.line(f"widx[s] = {DSTALLI}")
-                    em.line(f"sc[{DSTALLI}] += 2")
-                em.line("continue")
         dst = dst_by_pc[pc]
         if kind == _ALU:
             eff, lat = fu_eff[body[pc].opcode.fu or "ctrl"]
@@ -1125,6 +1043,71 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
             em.line("rdy[s] = cycle + 40")
             em.line(f"widx[s] = {SLEEPI}")
         emit_advance(pc, kind != _BAR)
+
+    def emit_attempt() -> None:
+        """One issue attempt of pooled warp ``s``: the hiccup check,
+        the per-pc issue tree, then the fast-tail park every leaf that
+        does not end itself falls into."""
+        em.line("it = its[s]")
+        em.line("p = pcs[s]")
+        if has_rolls:
+            # HIC[s] holds only this warp's *pending* nonzero hiccup
+            # tokens (1 = bank conflict, 2 = dispatch hiccup; a pc that
+            # cannot roll either never holds one); pop-on-hit is the
+            # consumed-once semantics the reference tracks via
+            # ``Warp.hiccup_token``.  The park is pre-settled (sc += 2
+            # covers the issue cycle and the one-cycle park, stall
+            # seats at the wake cycle — see emit_fail).
+            tok = f"it * {nbody} + p"
+            with em.blk(f"if {tok} in HIC[s]:"):
+                em.line(f"wi = {MISCI} if HIC[s].pop({tok}) == 1 "
+                        f"else {DSTALLI}")
+                em.line("widx[s] = wi")
+                em.line("sc[wi] += 2")
+                em.line("rdy[s] = cycle + 2")
+                em.line("stall[s] = cycle + 2")
+                em.line("pool.remove(s)")
+                emit_push("cycle + 2")
+                em.line("continue")
+        if nbody > 1:
+            _emit_tree(em, list(range(nbody)), emit_issue_leaf)
+        else:
+            emit_issue_leaf(0)
+        # the fast-tail park, pre-settled (full stall interval charged
+        # now, ``stall`` seated at the wake cycle — see emit_fail; a
+        # pooled warp's ``stall`` is never read, so no seat-at-issue
+        # write).  When the leaf's scan found a pending register
+        # (prdy >= 0), the intermediate wake at rc is collapsed: its
+        # settle charge (old widx), the classify park and the final
+        # wake's settle in one step.  ``candf`` marks the warp a known
+        # candidate, so its wake takes the exam fast path instead of
+        # the classify tree.  Counter totals are cycle-for-cycle those
+        # of the uncollapsed path; only the loop-internal
+        # processed/skipped/wake statistics (not part of
+        # :class:`EventCounters`) shift.
+        if dispatch_n != 1:
+            em.line("budget -= 1")
+        if gto:
+            em.line("greedy[smp_i] = s")
+        em.line("candf[s] = True")
+        with em.blk("if prdy >= 0:"):
+            em.line("pool.remove(s)")
+            with em.blk("if rc > cycle1:"):
+                em.line("sc[widx[s]] += rc - cycle1")
+            em.line(f"wi = {sbt}[pk]")
+            em.line("widx[s] = wi")
+            em.line("sc[wi] += prdy - rc")
+            em.line("stall[s] = prdy")
+            em.line("rdy[s] = prdy")
+            emit_push("prdy")
+        with em.blk("elif rc > cycle1:"):
+            em.line("pool.remove(s)")
+            em.line("sc[widx[s]] += rc - cycle1")
+            em.line("stall[s] = rc")
+            emit_push("rc")
+        # otherwise ready for the next instruction at cycle+1 with no
+        # pending deps: the warp remains a pool candidate in place.
+        emit_issue_done()
 
     # -- module header -------------------------------------------------
     em.line("# generated by repro.sim.specialize "
@@ -1475,7 +1458,6 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                                 em.line("retire(s, cycle, smp_i, s)")
                                 em.line("continue")
                             em.line("brdy = -1")
-                            em.line("bk = 0")
                             if nbody > 1:
                                 em.line("p = pcs[s]")
                                 _emit_tree(em, list(range(nbody)),
@@ -1539,12 +1521,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                                                 "n_ord - bj")
                                         em.line("break")
                                 em.line("s = order[bj]")
-                                if nbody > 1:
-                                    em.line("p = pcs[s]")
-                                    _emit_tree(em, list(range(nbody)),
-                                               emit_issue_leaf)
-                                else:
-                                    emit_issue_leaf(0)
+                                emit_attempt()
                     with em.blk("elif ready_l[smp_i]:"):
                         em.line("next_ready = True")
                 with em.blk("if spawn_pending:"):

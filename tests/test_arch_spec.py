@@ -27,11 +27,12 @@ def _sm(**overrides):
     return SMSpec(**defaults)
 
 
-def _memory():
+def _memory(**overrides):
     return MemorySpec(
         l1=CacheSpec("l1", size_bytes=64 * 1024),
         l2=CacheSpec("l2", size_bytes=1024 * 1024, ways=16),
         constant=CacheSpec("constant", size_bytes=2048, line_bytes=64),
+        **overrides,
     )
 
 
@@ -65,6 +66,20 @@ class TestCacheSpec:
             CacheSpec("bad", size_bytes=4096, line_bytes=100,
                       sector_bytes=32, ways=1)
 
+    # the compiled driver relies on an issued warp never being ready
+    # before the next cycle, so every latency is at least one.
+    @pytest.mark.parametrize("field", ["hit_latency", "miss_latency"])
+    def test_latency_below_one_rejected(self, field):
+        with pytest.raises(ArchitectureError):
+            CacheSpec("bad", size_bytes=4096, **{field: 0})
+
+
+class TestMemorySpec:
+    @pytest.mark.parametrize("field", ["dram_latency", "shared_latency"])
+    def test_latency_below_one_rejected(self, field):
+        with pytest.raises(ArchitectureError):
+            _memory(**{field: 0})
+
 
 class TestSMSpec:
     def test_derived_quantities(self):
@@ -90,6 +105,10 @@ class TestSMSpec:
             _sm(subpartitions=0)
         with pytest.raises(ArchitectureError):
             _sm(warps_per_subpartition=0)
+
+    def test_branch_resolve_latency_below_one_rejected(self):
+        with pytest.raises(ArchitectureError):
+            _sm(branch_resolve_latency=0)
 
 
 class TestGPUSpec:

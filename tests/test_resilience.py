@@ -621,6 +621,32 @@ class TestCacheCrashConsistency:
         assert cache.total_bytes == size
         assert EvictingResultCache(tmp_path).total_bytes == size
 
+    def test_reopen_removes_a_dead_writers_temp_files(self, tmp_path,
+                                                      turing):
+        """A writer killed between its temp write and the rename leaves
+        a temp no glob of the store counts or evicts.  Reopening the
+        store removes it once that writer's process is gone, and keeps
+        a live writer's (CLI runs may share the store)."""
+        import subprocess
+        import sys
+
+        prog = _kernel("cachedead")
+        cache = EvictingResultCache(tmp_path)
+        key = sim_fingerprint(prog, LAUNCH, turing, DEFAULT_CONFIG)
+        cache.store(key, self._result(turing, prog))
+        shard = cache.path_for(key)
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0
+        dead = [shard.with_suffix(f".tmp.{child.pid}.1"),
+                tmp_path / f"index.json.tmp.{child.pid}.1"]
+        live = shard.with_suffix(f".tmp.{os.getpid()}.1")
+        for temp in (*dead, live):
+            temp.write_text("x" * 1000)
+        reopened = EvictingResultCache(tmp_path)
+        assert [temp.exists() for temp in dead] == [False, False]
+        assert live.exists()
+        assert reopened.total_bytes == shard.stat().st_size
+
 
 # ---------------------------------------------------------------------------
 # quarantine-and-degrade through profiles, analysis and reports

@@ -51,6 +51,8 @@ from repro.sim.specialize import (
     check_supported,
     clear_driver_cache,
     driver_for,
+    generate_driver_source,
+    specialization_key,
 )
 from tests.test_property_sim import small_programs
 
@@ -136,12 +138,18 @@ def test_directed_cases_match_reference(kernel, scheduler):
     tpb=st.sampled_from([32, 96, 256]),
     scheduler=st.sampled_from(["gto", "lrr"]),
     seed=st.integers(0, 3),
+    # (bank conflict, dispatch hiccup) rates: the default mix, one kind
+    # of hiccup only, and none (a driver with no hiccup check at all).
+    rates=st.sampled_from([(0.02, 0.01), (0.3, 0.0), (0.0, 0.3),
+                           (0.0, 0.0)]),
 )
 @settings(max_examples=25, deadline=None)
 def test_random_kernels_match_reference(program, blocks, tpb, scheduler,
-                                        seed):
+                                        seed, rates):
     launch = LaunchConfig(blocks=blocks, threads_per_block=tpb)
-    config = SimConfig(seed=seed, scheduler=scheduler)
+    config = SimConfig(seed=seed, scheduler=scheduler,
+                       bank_conflict_rate=rates[0],
+                       dispatch_stall_rate=rates[1])
     # every generated shape must be *accepted*: a silent fallback here
     # would make the equivalence claim vacuous.
     assert check_supported(program, SPEC, config) is None
@@ -167,6 +175,34 @@ def test_shared_l2_serial_path_matches_reference():
             )
         docs.append([counters_to_doc(c) for c in result.per_sm])
     assert docs[0] == docs[1]
+
+
+def test_shared_code_is_emitted_once_per_driver():
+    """What every pc shares is emitted once per driver: one hiccup check
+    before the issue tree and one fast-tail park after it, so a leaf
+    holds only its issue body, pc advance and next scoreboard scan.
+    Checked on the source of every distinct rodinia and altis driver on
+    both paper GPUs (generated, not compiled)."""
+    from repro.lint import bundled_suites
+
+    suites = bundled_suites()
+    config = SimConfig(seed=0)
+    programs = {}
+    for gpu in ("gtx1070", "rtx4000"):
+        spec = get_gpu(gpu)
+        for name in ("rodinia", "altis"):
+            for app in suites[name].applications:
+                for inv in app.invocations:
+                    key = specialization_key(inv.program, spec, config)
+                    programs.setdefault(key, (inv.program, spec))
+    lines = body = 0
+    for program, spec in programs.values():
+        source = generate_driver_source(program, spec, config)
+        assert source.count(" in HIC[s]:") == 1, program.name
+        assert source.count("+= prdy - rc") == 1, program.name
+        lines += source.count("\n")
+        body += len(program.body)
+    assert lines / body <= 95, f"{lines / body:.1f} lines per instruction"
 
 
 # ----------------------------------------------------------------------
