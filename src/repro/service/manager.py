@@ -469,25 +469,9 @@ class ServiceManager:
         ``done`` (clean), ``False`` when any failed or was quarantined
         (the CLI maps that to the degraded exit code).
         """
-        deadline = (
-            time.monotonic() + timeout_s if timeout_s is not None else None
-        )
         with self._cv:
             self._draining = True
-            while self._queue or self._running:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                self._cv.wait(
-                    timeout=min(
-                        self.config.poll_interval_s,
-                        remaining
-                        if remaining is not None
-                        else self.config.poll_interval_s,
-                    )
-                )
+            self.wait_idle(timeout_s)
             self._stopped = True
             self._cv.notify_all()
         self.journal.close()

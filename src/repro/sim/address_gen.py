@@ -151,36 +151,6 @@ class AddressGenerator:
                 dedup.append(sid)
         return dedup
 
-    def access_runs(
-        self,
-        warp_global_id: int,
-        iterations: int,
-        slot: int,
-        active_threads: int,
-    ) -> list[tuple[int, int] | list[int]]:
-        """Batch entry point: the access shape of every iteration of one
-        ``(warp, slot)`` pair, in iteration order.
-
-        Each element is exactly what the per-access path would see:
-        the ``(first_sector, n_sectors)`` tuple :meth:`span` returns
-        when the access is one consecutive run, else the
-        :meth:`sectors` list.  Used by the specialized simulator
-        backend (:mod:`repro.sim.specialize`) to tabulate a program's
-        memory traffic once per warp instead of once per issue —
-        bit-identical by construction, because it delegates to the
-        same two methods in the same order.
-        """
-        span = self.span
-        sectors = self.sectors
-        out: list[tuple[int, int] | list[int]] = []
-        for it in range(iterations):
-            run = span(warp_global_id, it, slot, active_threads)
-            out.append(
-                run if run is not None
-                else sectors(warp_global_id, it, slot, active_threads)
-            )
-        return out
-
 
 def build_generators(
     patterns: dict[str, AccessPattern], seed: int

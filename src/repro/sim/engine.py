@@ -16,13 +16,15 @@ profiling-pipeline optimizations safe to apply aggressively:
   output is **bit-identical to a serial run**.
 
 On top of that sits the resilience layer (:mod:`repro.resilience`):
-every simulation *cell* (one kernel launch) runs under a
+every simulation *cell* (one kernel launch), in-process or pooled,
+runs through one loop under a
 :class:`~repro.resilience.policy.RetryPolicy` — transient failures,
-dead pool workers and per-cell deadline overruns are retried with
-deterministic exponential backoff, and a cell that exhausts its budget
-is **quarantined** (recorded in :class:`~repro.resilience.health.RunHealth`
-and raised as :class:`~repro.errors.QuarantineError`) so the suite run
-can complete in degraded mode instead of aborting.  Named fault sites
+dead pool workers and per-cell deadline overruns are retried in
+rounds with deterministic exponential backoff, and a cell that
+exhausts its budget is **quarantined** (recorded in
+:class:`~repro.resilience.health.RunHealth` and raised as
+:class:`~repro.errors.QuarantineError`) so the suite run can complete
+in degraded mode instead of aborting.  Named fault sites
 (``engine.transient``, ``engine.worker``, ``sim.hang``) let tests
 exercise all of this reproducibly.
 
@@ -154,7 +156,8 @@ class EngineStats:
     #: parallel kernel batches dispatched and tasks within them.
     batch_count: int = 0
     batch_tasks: int = 0
-    #: wall seconds spent simulating (including pool wait).
+    #: wall seconds spent resolving misses: simulation, pool wait and
+    #: retry backoff, timed once around each dispatch.
     sim_seconds: float = 0.0
     #: wall seconds spent in persistent-cache I/O.
     cache_seconds: float = 0.0
@@ -210,26 +213,19 @@ class ExecutionEngine:
             from repro.sim import backend as sim_backend
 
             plan = active_injector().plan
-            obs_args = active_obs().worker_init_args()
-            backend = sim_backend.current_backend()
-            initializer, initargs = None, ()
-            if (not plan.empty or obs_args is not None
-                    or backend != sim_backend.DEFAULT_BACKEND):
-                # fork inherits the installed fault plan for free; the
-                # initializer covers spawn-based platforms too, and
-                # (re)installs worker-side observability and backend
-                # selection either way.
-                initializer = _pool_worker_init
-                initargs = (
-                    plan.spec_string() if not plan.empty else "",
-                    obs_args,
-                    backend,
-                )
+            # fork inherits the installed fault plan for free; the
+            # initializer covers spawn-based platforms too, and
+            # (re)installs worker-side observability and backend
+            # selection either way.
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=_mp_context(),
-                initializer=initializer,
-                initargs=initargs,
+                initializer=_pool_worker_init,
+                initargs=(
+                    plan.spec_string() if not plan.empty else "",
+                    active_obs().worker_init_args(),
+                    sim_backend.current_backend(),
+                ),
             )
         return self._pool
 
@@ -259,33 +255,22 @@ class ExecutionEngine:
         except Exception:  # pragma: no cover - broken pools may throw
             pass
 
-    def _abort_pool(self) -> None:
-        """Ctrl-C: terminate workers promptly; never hang on futures."""
-        self._reset_pool(kill=True)
-
     # -- resilience helpers ----------------------------------------------
     @staticmethod
     def _cell_label(item) -> str:
         spec, program, launch, _config = item
         return f"{program.name}@{spec.name}"
 
-    @staticmethod
-    def _injector():
-        from repro.resilience.faults import active_injector
-
-        return active_injector()
-
     def _quarantine(
         self, key: str, label: str, reason: str, attempts: int
     ) -> None:
-        """Record a cell as dead for this engine's lifetime and raise."""
+        """Record a cell as dead for this engine's lifetime."""
         self._quarantined[key] = (label, reason)
         self.health.record_quarantine(label, reason, attempts)
         obs = active_obs()
         obs.tracer.instant("quarantine", cat="resilience",
                            cell=label, reason=reason, attempts=attempts)
         obs.metrics.inc("resilience.quarantined_cells")
-        raise QuarantineError(label, reason)
 
     def _record_retry(self, exc: ReproError, label: str,
                       attempt: int) -> None:
@@ -301,169 +286,167 @@ class ExecutionEngine:
         if hit is not None:
             raise QuarantineError(hit[0], hit[1])
 
-    def _run_cell(self, key: str, item) -> "KernelSimResult":
-        """Execute one cell inline with retries, deadline and backoff.
+    def _run_in_process(self, key: str, item,
+                        attempt: int) -> "KernelSimResult":
+        """One in-process attempt of a cell, counted when it starts.
 
-        Raises :class:`QuarantineError` when the retry budget is
-        exhausted (after registering the quarantine); non-retryable
-        errors propagate immediately.
+        An in-process cell cannot be preempted, but an overrun of the
+        deadline is still detected, as a :class:`CellTimeoutError`
+        charged to the cell.
         """
-        label = self._cell_label(item)
-        attempt = 0
-        while True:
-            self.health.record_attempt()
-            t0 = time.perf_counter()
-            try:
-                result = _simulate_kernel_cell(key, item, attempt)
-                elapsed = time.perf_counter() - t0
-                self.stats.sim_seconds += elapsed
-                deadline = self.retry.deadline_s
-                if deadline is not None and elapsed > deadline:
-                    # serial engines cannot preempt a runaway cell, but
-                    # they still detect and account the overrun.
-                    raise CellTimeoutError(
-                        f"cell {label} took {elapsed:.2f}s "
-                        f"(deadline {deadline:g}s)"
-                    )
-                self.stats.sim_calls += 1
-                return result
-            except ReproError as exc:
-                if not isinstance(exc, CellTimeoutError):
-                    self.stats.sim_seconds += time.perf_counter() - t0
-                if not is_retryable(exc):
-                    raise
-                attempt += 1
-                if attempt >= self.retry.max_attempts:
-                    self._quarantine(key, label, str(exc), attempt)
-                self._record_retry(exc, label, attempt)
-                time.sleep(self.retry.backoff_s(key, attempt))
-
-    def _dispatch_parallel(
-        self, cells: "list[tuple[str, object]]"
-    ) -> "dict[str, KernelSimResult | None]":
-        """Fan cells across the pool with per-cell retries/deadlines.
-
-        Returns ``key -> result`` with ``None`` for quarantined cells.
-        Failure handling distinguishes a cell's *own* faults (its
-        injected crash/hang/transient decision, computed identically in
-        the parent, or a real deadline overrun of a cell that actually
-        ran) from *collateral* damage (the pool broke under it because
-        some other cell killed a worker, or it was still queued behind
-        a runaway cell when the deadline fired): own faults consume
-        the cell's retry budget, collateral re-dispatches do not — so
-        under fault injection :class:`RunHealth` depends only on the
-        fault schedule, not on pool scheduling order.
-        """
-        from concurrent.futures import TimeoutError as FutureTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        injector = self._injector()
-        resolved: "dict[str, KernelSimResult | None]" = {}
-        # (key, item, attempt, fresh): ``fresh`` marks a first try or a
-        # budget-consuming retry, which count as attempts in RunHealth.
-        queue = [(key, item, 0, True) for key, item in cells]
-        collateral: dict[str, int] = {}
-        while queue:
-            pool = self._executor()
-            submitted = []
-            for key, item, attempt, fresh in queue:
-                if fresh:
-                    self.health.record_attempt()
-                submitted.append(
-                    (pool.submit(_simulate_kernel_cell, key, item, attempt),
-                     key, item, attempt)
-                )
-            retry_queue = []
-            pool_dirty = False
-            backoff = 0.0
-            for future, key, item, attempt in submitted:
-                label = self._cell_label(item)
-                try:
-                    resolved[key] = future.result(
-                        timeout=self.retry.deadline_s
-                    )
-                    self.stats.sim_calls += 1
-                    continue
-                except FutureTimeout:
-                    exc: ReproError = CellTimeoutError(
-                        f"cell {label} exceeded its "
-                        f"{self.retry.deadline_s:g}s deadline"
-                    )
-                    own_fault = _timeout_own_fault(
-                        injector, future, key, attempt
-                    )
-                    pool_dirty = True
-                except BrokenProcessPool:
-                    exc = WorkerCrashError(
-                        f"worker died while simulating {label}"
-                    )
-                    own_fault = injector.decide(
-                        "engine.worker", key, attempt
-                    )
-                    pool_dirty = True
-                except ReproError as raised:
-                    if not is_retryable(raised):
-                        raise
-                    exc = raised
-                    own_fault = True
-                if not own_fault:
-                    # the pool collapsed under an innocent cell:
-                    # re-dispatch without charging its retry budget
-                    # (bounded, in case the pool keeps dying for real).
-                    collateral[key] = collateral.get(key, 0) + 1
-                    if collateral[key] <= 3 * self.retry.max_attempts:
-                        retry_queue.append((key, item, attempt, False))
-                        continue
-                    own_fault = True  # escalate: something is wrong
-                attempt += 1
-                if attempt >= self.retry.max_attempts:
-                    try:
-                        self._quarantine(key, label, str(exc), attempt)
-                    except QuarantineError:
-                        resolved[key] = None
-                else:
-                    self._record_retry(exc, label, attempt)
-                    retry_queue.append((key, item, attempt, True))
-                    backoff = max(backoff, self.retry.backoff_s(key, attempt))
-            if pool_dirty:
-                # deadline overruns leave workers grinding on runaway
-                # cells; crashes leave the pool broken.  Rebuild.
-                self._reset_pool(kill=True)
-            if backoff > 0.0:
-                time.sleep(backoff)
-            queue = retry_queue
-        return resolved
+        self.health.record_attempt()
+        t0 = time.perf_counter()
+        result = _simulate_kernel_cell(key, item, attempt)
+        took = time.perf_counter() - t0
+        deadline = self.retry.deadline_s
+        if deadline is not None and took > deadline:
+            raise CellTimeoutError(
+                f"cell {self._cell_label(item)} took {took:.2f}s "
+                f"(deadline {deadline:g}s)"
+            )
+        return result
 
     def _dispatch(
         self, miss_keys: "list[str]", miss_items: "list"
     ) -> "dict[str, KernelSimResult | None]":
-        """Resolve distinct cache misses; ``None`` marks quarantined."""
-        if self.parallel and len(miss_items) > 1:
+        """Resolve distinct cache misses; ``None`` marks quarantined.
+
+        One loop runs every miss, in-process or fanned across the pool
+        (more than one miss on a parallel engine), so both share one
+        definition of an attempt, a retry, a deadline overrun, a
+        backoff and a quarantine.  It works in rounds: a round takes
+        the queue in submission order, requeues the cells that failed
+        retryably and then sleeps once, for the round's largest
+        backoff.  A pooled cell's attempt counts when it is submitted;
+        an in-process cell runs, and counts its attempt, when the loop
+        reaches it, so a non-retryable error stops a serial batch
+        before later cells run.
+
+        Failure handling distinguishes a cell's *own* faults (its
+        injected crash/hang/transient decision, computed identically in
+        the parent, or a real deadline overrun of a cell that actually
+        ran) from *collateral* damage, which only a pool can do (the
+        pool broke under it because some other cell killed a worker, or
+        it was still queued behind a runaway cell when the deadline
+        fired): own faults consume the cell's retry budget, collateral
+        re-dispatches do not — so under fault injection
+        :class:`RunHealth` depends only on the fault schedule, not on
+        pool scheduling order or ``jobs``.
+        """
+        from repro.resilience.faults import active_injector
+
+        pooled = self.parallel and len(miss_items) > 1
+        if pooled:
+            from concurrent.futures import TimeoutError as FutureTimeout
+            from concurrent.futures.process import BrokenProcessPool
+
             self.stats.batch_count += 1
             self.stats.batch_tasks += len(miss_items)
-            t0 = time.perf_counter()
-            try:
-                with active_obs().tracer.span(
-                    "engine.dispatch", cat="engine",
-                    cells=len(miss_items), jobs=self.jobs,
-                ):
-                    resolved = self._dispatch_parallel(
-                        list(zip(miss_keys, miss_items))
-                    )
-            except KeyboardInterrupt:
-                # terminate the pool promptly: never hang on in-flight
-                # futures while the user is holding Ctrl-C.
-                self._abort_pool()
-                raise
-            finally:
-                self.stats.sim_seconds += time.perf_counter() - t0
-            return resolved
-        resolved = {}
-        for key, item in zip(miss_keys, miss_items):
-            try:
-                resolved[key] = self._run_cell(key, item)
-            except QuarantineError:
-                resolved[key] = None
+            worker_died = BrokenProcessPool
+        else:
+            # an in-process cell has no future to time out on
+            # (``except ()`` matches nothing), and its worker "dies"
+            # only as the injected WorkerCrashError.
+            FutureTimeout, worker_died = (), WorkerCrashError
+        deadline = self.retry.deadline_s
+        injector = active_injector()
+        resolved: "dict[str, KernelSimResult | None]" = {}
+        # (key, item, attempt, fresh): ``fresh`` marks a first try or a
+        # budget-consuming retry, which count as attempts in RunHealth.
+        queue = [(key, item, 0, True)
+                 for key, item in zip(miss_keys, miss_items)]
+        collateral: dict[str, int] = {}
+        t0 = time.perf_counter()
+        try:
+            with ExitStack() as stack:
+                if pooled:
+                    stack.enter_context(active_obs().tracer.span(
+                        "engine.dispatch", cat="engine",
+                        cells=len(miss_items), jobs=self.jobs,
+                    ))
+                while queue:
+                    pool = self._executor() if pooled else None
+                    started = []
+                    for key, item, attempt, fresh in queue:
+                        future = None
+                        if pool is not None:
+                            if fresh:
+                                self.health.record_attempt()
+                            future = pool.submit(
+                                _simulate_kernel_cell, key, item, attempt
+                            )
+                        started.append((future, key, item, attempt))
+                    retry_queue = []
+                    pool_dirty = False
+                    backoff = 0.0
+                    for future, key, item, attempt in started:
+                        label = self._cell_label(item)
+                        try:
+                            resolved[key] = (
+                                self._run_in_process(key, item, attempt)
+                                if future is None
+                                else future.result(timeout=deadline)
+                            )
+                            self.stats.sim_calls += 1
+                            continue
+                        except FutureTimeout:
+                            exc: ReproError = CellTimeoutError(
+                                f"cell {label} exceeded its "
+                                f"{deadline:g}s deadline"
+                            )
+                            own_fault = _timeout_own_fault(
+                                injector, future, key, attempt
+                            )
+                            pool_dirty = True
+                        except worker_died:
+                            # reads alike in-process and pooled, so a
+                            # quarantine does not depend on ``jobs``.
+                            exc = WorkerCrashError(
+                                f"worker died while simulating {label}"
+                            )
+                            own_fault = injector.decide(
+                                "engine.worker", key, attempt
+                            )
+                            pool_dirty = pooled
+                        except ReproError as raised:
+                            if not is_retryable(raised):
+                                raise
+                            exc = raised
+                            own_fault = True
+                        if not own_fault:
+                            # the pool collapsed under an innocent cell:
+                            # re-dispatch without charging its retry
+                            # budget (bounded, in case the pool keeps
+                            # dying for real).
+                            collateral[key] = collateral.get(key, 0) + 1
+                            if collateral[key] <= 3 * self.retry.max_attempts:
+                                retry_queue.append((key, item, attempt, False))
+                                continue
+                            own_fault = True  # escalate: something is wrong
+                        attempt += 1
+                        if attempt >= self.retry.max_attempts:
+                            self._quarantine(key, label, str(exc), attempt)
+                            resolved[key] = None
+                        else:
+                            self._record_retry(exc, label, attempt)
+                            retry_queue.append((key, item, attempt, True))
+                            backoff = max(
+                                backoff, self.retry.backoff_s(key, attempt)
+                            )
+                    if pool_dirty:
+                        # deadline overruns leave workers grinding on
+                        # runaway cells; crashes leave the pool broken.
+                        self._reset_pool(kill=True)
+                    if backoff > 0.0:
+                        time.sleep(backoff)
+                    queue = retry_queue
+        except KeyboardInterrupt:
+            # terminate the pool promptly: never hang on in-flight
+            # futures while the user is holding Ctrl-C.
+            self._reset_pool(kill=True)
+            raise
+        finally:
+            self.stats.sim_seconds += time.perf_counter() - t0
         return resolved
 
     # -- single-kernel entry (used by GPUSimulator.launch) ---------------

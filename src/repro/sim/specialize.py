@@ -421,15 +421,13 @@ class _RuntimeTables:
                             row.append(_entry(-1, n, ded, trans, wi))
                     ssum[wi] += sl
                     col.append(row)
-            elif (gen._span_ok
-                    and gen.pattern.kind in (AccessKind.STREAM,
-                                             AccessKind.STRIDED)):
+            elif gen._span_ok:
                 # vectorized mirror of AddressGenerator.span() for the
                 # narrow-stride STREAM/STRIDED case: the whole access
                 # is one consecutive sector run unless the cursor wraps
                 # the working set.  Wrapping rows (rare) fall back to
                 # the scalar sectors() path, so every entry is exactly
-                # what access_runs() would have produced.
+                # what span() or sectors() would have produced.
                 shared = kind == _SHARED
                 ws = gen._ws
                 span_len = (act - 1) * gen._stride_bytes
@@ -479,18 +477,15 @@ class _RuntimeTables:
                     ssum[wi] += sl
                     col.append(row)
             else:
+                # ``_span_ok`` is false, so span() would return None:
+                # one sectors() list per access.
                 shared = kind == _SHARED
                 for wi, wid in enumerate(wids):
                     row = []
                     sl = 0
-                    for r in gen.access_runs(wid, titers, pc, act):
-                        if type(r) is tuple:
-                            first, n = r
-                            payload = n
-                        else:
-                            first = -1
-                            n = len(r)
-                            payload = r
+                    for it in range(titers):
+                        sec = gen.sectors(wid, it, pc, act)
+                        n = len(sec)
                         trans = -(-n // lsu)
                         if trans < 1:
                             trans = 1
@@ -499,8 +494,7 @@ class _RuntimeTables:
                             row.append((trans, (trans + 1) // 2))
                         else:
                             sl += 1 + (trans - 1) // 4
-                            row.append(_entry(first, n, payload,
-                                              trans, wi))
+                            row.append(_entry(-1, n, sec, trans, wi))
                     ssum[wi] += sl
                     col.append(row)
             mem_cols.append(col)

@@ -20,6 +20,7 @@ from repro.errors import (
     CellTimeoutError,
     QuarantineError,
     ResilienceError,
+    SimulationError,
     TransientFaultError,
     UsageError,
     WorkerCrashError,
@@ -37,6 +38,7 @@ from repro.resilience import (
 from repro.sim import (
     DEFAULT_CONFIG,
     GPUSimulator,
+    SimConfig,
     SimResultCache,
     engine_context,
     sim_fingerprint,
@@ -327,6 +329,21 @@ class TestSerialResilience:
             payloads.append(engine.health.payload())
         assert payloads[0] == payloads[1]
 
+    def test_non_retryable_failure_stops_the_batch(self, turing):
+        """An in-process cell runs, and counts its attempt, only when
+        the loop reaches it: a genuine simulation error fails fast and
+        the queued cell behind it never starts."""
+        items = [
+            (turing, _kernel("overrun"), LAUNCH, SimConfig(max_cycles=10)),
+            (turing, _kernel("later"), LAUNCH, DEFAULT_CONFIG),
+        ]
+        engine = ExecutionEngine(jobs=1, retry=_fast_retry())
+        with pytest.raises(SimulationError):
+            engine.simulate_batch(items)
+        assert engine.health.attempts == 1
+        assert engine.stats.sim_calls == 0
+        assert engine.health.retries == {}
+
 
 # ---------------------------------------------------------------------------
 # engine: parallel dispatch under faults
@@ -360,19 +377,26 @@ class TestParallelResilience:
 
     def test_parallel_health_matches_fault_schedule(self, turing):
         """RunHealth must depend on the fault schedule only — not on
-        pool scheduling order — so two identical runs agree exactly."""
+        pool scheduling order or ``jobs`` — so an in-process run and
+        two pooled runs of the same cells agree exactly."""
         kernels = [_kernel(f"dcell{i}") for i in range(4)]
         items = [(turing, k, LAUNCH, DEFAULT_CONFIG) for k in kernels]
-        payloads = []
-        for _ in range(2):
-            engine = ExecutionEngine(jobs=2, retry=_fast_retry())
-            try:
-                with install_faults("seed=9,engine.worker@0.4"):
-                    engine.simulate_batch(items)
-            finally:
-                engine.close()
-            payloads.append(engine.health.payload())
-        assert payloads[0] == payloads[1]
+        for spec in ("seed=3,engine.transient@0.4",
+                     "seed=9,engine.worker@0.4"):
+            payloads, cycles = [], []
+            for jobs in (1, 2, 2):
+                engine = ExecutionEngine(jobs=jobs, retry=_fast_retry())
+                try:
+                    with install_faults(spec):
+                        out = engine.simulate_batch(items)
+                finally:
+                    engine.close()
+                payloads.append(engine.health.payload())
+                cycles.append([
+                    None if r is None else r.duration_cycles for r in out
+                ])
+            assert payloads[0] == payloads[1] == payloads[2], spec
+            assert cycles[0] == cycles[1] == cycles[2], spec
 
 
 # ---------------------------------------------------------------------------
