@@ -141,6 +141,11 @@ def _timeout_own_fault(injector, future, key: str, attempt: int) -> bool:
     return future.running() or future.done()
 
 
+def _overrun(label: str, deadline: float) -> CellTimeoutError:
+    """A deadline overrun, in one text for pooled and in-process cells."""
+    return CellTimeoutError(f"cell {label} exceeded its {deadline:g}s deadline")
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
@@ -292,18 +297,16 @@ class ExecutionEngine:
 
         An in-process cell cannot be preempted, but an overrun of the
         deadline is still detected, as a :class:`CellTimeoutError`
-        charged to the cell.
+        charged to the cell.  Its text is the pool's, with no measured
+        time in it, so a quarantine's reason does not depend on
+        ``jobs`` or on the host's speed.
         """
         self.health.record_attempt()
         t0 = time.perf_counter()
         result = _simulate_kernel_cell(key, item, attempt)
-        took = time.perf_counter() - t0
         deadline = self.retry.deadline_s
-        if deadline is not None and took > deadline:
-            raise CellTimeoutError(
-                f"cell {self._cell_label(item)} took {took:.2f}s "
-                f"(deadline {deadline:g}s)"
-            )
+        if deadline is not None and time.perf_counter() - t0 > deadline:
+            raise _overrun(self._cell_label(item), deadline)
         return result
 
     def _dispatch(
@@ -390,10 +393,7 @@ class ExecutionEngine:
                             self.stats.sim_calls += 1
                             continue
                         except FutureTimeout:
-                            exc: ReproError = CellTimeoutError(
-                                f"cell {label} exceeded its "
-                                f"{deadline:g}s deadline"
-                            )
+                            exc: ReproError = _overrun(label, deadline)
                             own_fault = _timeout_own_fault(
                                 injector, future, key, attempt
                             )

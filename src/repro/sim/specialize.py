@@ -36,7 +36,11 @@ in the ``sim.specialize_fallbacks`` obs metric, docs/OBSERVABILITY.md).
 Compiled drivers are keyed by a sha-256 content digest of
 ``(program, spec, scheduler, hiccups on/off)`` — runtime-only knobs
 (seed, max_cycles, rate *values*, residency) stay out of the key — and
-cached in the process that compiled them.
+cached in the process that compiled them.  The cache keeps compiled
+code only (function and plan); the generated source goes back to the
+call that built the driver and nowhere else.  A run's tables are an
+argument of the driver, never state on the simulator, so reference
+counting frees the whole run when :meth:`SMSimulator.run` returns.
 """
 
 from __future__ import annotations
@@ -239,7 +243,9 @@ class _Plan:
 class _RuntimeTables:
     """Per-warp roll / fetch / memory-shape tables for one SM run,
     built lazily in block chunks as the driver spawns blocks; each
-    block's tables are handed to the driver once and dropped.
+    block's tables are handed to the driver once and dropped.  Only the
+    driver's ``block_tables`` argument refers to an instance (the
+    simulator does not), so the tables die with the run.
 
     Rolls and fetch misses are numpy-vectorized SplitMix64 grids over
     (warp, iteration, pc).  Memory shapes come from numpy mirrors of
@@ -515,20 +521,23 @@ class _RuntimeTables:
 # driver cache
 # ----------------------------------------------------------------------
 class _Driver:
+    """A compiled driver: its plan and ``drive`` function.  ``source``
+    is the generated module text on the driver a build returns and
+    ``None`` on the copy the cache keeps."""
+
     __slots__ = ("plan", "fn", "source")
 
-    def __init__(self, plan: _Plan, fn, source: str) -> None:
+    def __init__(self, plan: _Plan, fn, source: str | None = None) -> None:
         self.plan = plan
         self.fn = fn
         self.source = source
 
     def drive(self, sim: "SMSimulator") -> None:
         """Run ``sim``'s cycle loop; counters land in its accumulators."""
-        sim._tables = _RuntimeTables(sim, self.plan)
-        self.fn(sim)
+        self.fn(sim, _RuntimeTables(sim, self.plan).block_tables)
 
 
-#: key -> _Driver (compiled) or str (decline reason).
+#: key -> _Driver (compiled code, no source) or str (decline reason).
 _DRIVER_CACHE: dict[str, "_Driver | str"] = {}
 
 
@@ -553,10 +562,12 @@ def clear_driver_cache() -> None:
 
 
 def _compile_source(source: str, key: str):
-    """exec the generated module; returns its ``drive`` function."""
+    """exec the generated module; returns its ``drive`` function.
+    Popping it from the namespace it was defined in leaves no
+    function <-> globals cycle, so a dropped driver is freed at once."""
     ns: dict = {}
     exec(compile(source, f"<specialized:{key[:12]}>", "exec"), ns)
-    return ns["drive"]
+    return ns.pop("drive")
 
 
 def driver_for(program: KernelProgram, spec: "GPUSpec",
@@ -565,7 +576,9 @@ def driver_for(program: KernelProgram, spec: "GPUSpec",
 
     In-process cache first (``sim.specialize_hits`` / ``_misses``
     count exactly these lookups — determinism contract in
-    docs/OBSERVABILITY.md), codegen and compile on a miss.
+    docs/OBSERVABILITY.md), codegen and compile on a miss.  Only the
+    call that builds a driver gets its ``source``; the cache keeps the
+    compiled function and plan, and a hit returns that cached driver.
     """
     key = specialization_key(program, spec, config)
     cached = _DRIVER_CACHE.get(key)
@@ -584,9 +597,9 @@ def driver_for(program: KernelProgram, spec: "GPUSpec",
 
     plan = _Plan(program, spec, config)
     source = generate_driver_source(program, spec, config)
-    driver = _Driver(plan, _compile_source(source, key), source)
-    _DRIVER_CACHE[key] = driver
-    return driver
+    fn = _compile_source(source, key)
+    _DRIVER_CACHE[key] = _Driver(plan, fn)
+    return _Driver(plan, fn, source)
 
 
 # ----------------------------------------------------------------------
@@ -636,7 +649,8 @@ def _emit_tree(em: _Emitter, pcs: list[int], leaf) -> None:
 def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                            config: SimConfig) -> str:
     """Compile one (program, spec, scheduler, hiccups on/off) combo to
-    the source of a ``drive(sim)`` function.
+    the source of a ``drive(sim, block_tables)`` function, where
+    ``block_tables`` is the run's :meth:`_RuntimeTables.block_tables`.
 
     The generated loop is an event-driven scheduler with every
     per-program decision resolved at generation time; see the module
@@ -1114,7 +1128,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
     em.line("from repro.errors import SimulationError")
     em.line()
     em.line()
-    em.line("def drive(sim):")
+    em.line("def drive(sim, block_tables):")
     with em.indent():
         # -- preamble: bind everything hot into locals -----------------
         em.line("WPB = sim.launch.warps_per_block")
@@ -1141,7 +1155,6 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
             em.line("DRAML = t_ if t_ > L1HIT else L1HIT")
         if _CONST in kinds:
             em.line("c_one = sim.memory.access_constant_sector")
-        em.line("block_tables = sim._tables.block_tables")
         em.line("dbusy = sim.dispatch_busy_until")
         em.line("sc = sim._sc")
         em.line("push = heappush")

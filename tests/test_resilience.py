@@ -378,14 +378,19 @@ class TestParallelResilience:
     def test_parallel_health_matches_fault_schedule(self, turing):
         """RunHealth must depend on the fault schedule only — not on
         pool scheduling order or ``jobs`` — so an in-process run and
-        two pooled runs of the same cells agree exactly."""
+        two pooled runs of the same cells agree exactly, down to a
+        deadline-overrun quarantine's reason."""
         kernels = [_kernel(f"dcell{i}") for i in range(4)]
         items = [(turing, k, LAUNCH, DEFAULT_CONFIG) for k in kernels]
-        for spec in ("seed=3,engine.transient@0.4",
-                     "seed=9,engine.worker@0.4"):
+        for spec, policy in (
+            ("seed=3,engine.transient@0.4", _fast_retry()),
+            ("seed=9,engine.worker@0.4", _fast_retry()),
+            ("seed=1,sim.hang@0.6,hang=0.3",
+             _fast_retry(max_attempts=2, deadline_s=0.15)),
+        ):
             payloads, cycles = [], []
             for jobs in (1, 2, 2):
-                engine = ExecutionEngine(jobs=jobs, retry=_fast_retry())
+                engine = ExecutionEngine(jobs=jobs, retry=policy)
                 try:
                     with install_faults(spec):
                         out = engine.simulate_batch(items)

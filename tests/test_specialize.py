@@ -11,8 +11,9 @@ file pins the *correctness* half of the contract:
 * declined programs run on the reference scan transparently, with
   the fallback visible in observability;
 * the in-process driver cache behaves: hits/misses counted, reuse
-  bit-identical, nothing written to disk; a run's tables do not
-  outlive it;
+  bit-identical, nothing written to disk, compiled code kept and
+  sources not; a run's tables do not outlive it, and reference
+  counting alone frees a run;
 * the backend selection is threaded through the engine/CLI plumbing,
   and an engine that only opens a store loads neither the specializer
   nor numpy.
@@ -47,6 +48,7 @@ from repro.sim.rng import mix64
 from repro.sim.sm import SMSimulator
 from repro.sim.sm_reference import ReferenceSMSimulator
 from repro.sim.specialize import (
+    _DRIVER_CACHE,
     MAX_BODY_LEN,
     check_supported,
     clear_driver_cache,
@@ -54,6 +56,7 @@ from repro.sim.specialize import (
     generate_driver_source,
     specialization_key,
 )
+from repro.workloads import rodinia
 from tests.test_property_sim import small_programs
 
 SPEC = get_gpu("rtx4000")
@@ -267,9 +270,56 @@ def test_driver_cache_hit_miss_metrics():
         with obs_context(enabled=True) as obs:
             d1 = driver_for(program, SPEC, config)
             d2 = driver_for(program, SPEC, config)
-            assert d1 is d2
+            assert d1.fn is d2.fn and d1.plan is d2.plan
+            assert d2.source is None
             assert obs.metrics.counter("sim.specialize_misses") == 1
             assert obs.metrics.counter("sim.specialize_hits") == 1
+    finally:
+        clear_driver_cache()
+
+
+def test_driver_cache_keeps_compiled_code_only():
+    """Only the call that builds a driver gets its source; the cache
+    keeps the function and plan, and dropping it frees them at once."""
+    program = _divergence_kernel()
+    config = SimConfig(seed=0)
+    clear_driver_cache()
+    try:
+        built = driver_for(program, SPEC, config)
+        assert built.source == generate_driver_source(program, SPEC, config)
+        cached = [d for d in _DRIVER_CACHE.values() if not isinstance(d, str)]
+        assert cached and all(d.source is None for d in cached)
+        del built, cached
+        gc.collect()
+        gc.disable()
+        try:
+            clear_driver_cache()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+    finally:
+        clear_driver_cache()
+
+
+def test_sm_run_leaves_no_reference_cycle():
+    """Reference counting frees a compiled run's whole state (tables,
+    caches, queues) when it returns: nothing is left for the GC."""
+    inv = rodinia().applications[0].invocations[0]
+    clear_driver_cache()
+    try:
+        GPUSimulator(SPEC, SimConfig(seed=0)).launch_uncached(
+            inv.program, inv.launch)
+        assert not isinstance(
+            driver_for(inv.program, SPEC, SimConfig(seed=1)), str
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            GPUSimulator(SPEC, SimConfig(seed=1)).launch_uncached(
+                inv.program, inv.launch)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
     finally:
         clear_driver_cache()
 
