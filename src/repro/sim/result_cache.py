@@ -17,8 +17,10 @@ Design points:
   wrong-schema-version entry is treated as a miss (and counted in
   :attr:`CacheStats.corrupt`); the kernel is re-simulated and the entry
   overwritten.  A cache can never make a run wrong, only slower.
-* **Atomic writes** — entries are written to a temp file and renamed,
-  so a crashed run leaves no half-written entries for the next one.
+* **Atomic writes** — entries are written to a temp file in the store
+  root and renamed into their shard, so a crashed run leaves no
+  half-written entries for the next one; opening a store removes the
+  temps of writers that no longer exist.
 * **Sharded layout** — ``<root>/<aa>/<fingerprint>.json`` keeps
   directories small for experiment-scale caches (thousands of entries).
 """
@@ -69,9 +71,34 @@ class SimResultCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
+        self._remove_dead_temps()
 
     def path_for(self, fingerprint: str) -> Path:
         return self.root / fingerprint[:2] / f"{fingerprint}.json"
+
+    def _remove_dead_temps(self) -> None:
+        """Remove temp files whose writer process no longer exists.
+
+        A writer killed between its temp write and the rename leaves
+        ``<fp>.tmp.<pid>.<tid>`` (a shard) or
+        ``index.json.tmp.<pid>.<tid>`` (the capped store's index) in
+        the store root, where no glob of the store counts it (nor a
+        byte cap).  Every writer puts its temps in the root, so this
+        lists one directory, not every shard.  A live writer's temp
+        stays: CLI runs may share the store.
+        """
+        if os.name != "posix":  # os.kill(pid, 0) is no probe elsewhere
+            return
+        for path in self.root.glob("*.tmp.*"):
+            pid = path.name.split(".tmp.", 1)[1].split(".", 1)[0]
+            if not pid.isdigit():
+                continue
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:
+                path.unlink(missing_ok=True)
+            except PermissionError:  # alive, owned by another user
+                pass
 
     # -- load -------------------------------------------------------------
     def load(
@@ -154,14 +181,14 @@ class SimResultCache:
         """Persist ``result`` under its fingerprint (atomic overwrite).
 
         The write protocol is crash-consistent: the entry is fully
-        written to a temp file first, then atomically renamed into
-        place.  A writer that dies at *any* point (the ``cache.write``
-        fault site simulates exactly that, between the temp write and
-        the rename) leaves either the old entry or no entry — never a
-        half-written shard a reader could see.  A write that fails with
-        ``OSError`` (disk full, say) removes its temp file and re-raises:
-        no glob of the store sees a temp, so a left one would sit outside
-        the byte cap for good.
+        written to a temp file in the store root first, then atomically
+        renamed into its shard.  A writer that dies at *any* point (the
+        ``cache.write`` fault site simulates exactly that, between the
+        temp write and the rename) leaves either the old entry or no
+        entry — never a half-written shard a reader could see — and its
+        temp is removed when the store is next opened.  A write that
+        fails with ``OSError`` (disk full, say) removes its temp file
+        and re-raises.
         """
         from repro.io.counters_json import counters_to_doc
         from repro.resilience.faults import active_injector
@@ -180,10 +207,11 @@ class SimResultCache:
         with obs.tracer.span("cache.store", cat="cache",
                              key=fingerprint[:12]):
             path.parent.mkdir(parents=True, exist_ok=True)
-            # one temp file per writing thread: the service's workers
-            # share this store and may store one key concurrently.
-            tmp = path.with_suffix(
-                f".tmp.{os.getpid()}.{threading.get_ident()}"
+            # one temp file per writing thread (the service's workers
+            # share this store and may store one key concurrently), in
+            # the root, where opening the store looks for dead ones.
+            tmp = self.root / (
+                f"{fingerprint}.tmp.{os.getpid()}.{threading.get_ident()}"
             )
             injector = active_injector()
             try:
@@ -256,8 +284,9 @@ class EvictingResultCache(SimResultCache):
       that) are re-adopted by reading them back.  A corrupt or
       wrong-schema index is **rebuilt from the shards**, never trusted:
       the index can only mis-order evictions, not corrupt results.
-      Temp files left by a writer that died before its rename are
-      removed at open; a live writer's temp is kept.
+      Shard and index temps left by a writer that died before its
+      rename are removed at open (as for every store); a live
+      writer's temp is kept.
     * **Warm-start stats** — entries/bytes found at open are reported
       (``store.warm_entries`` / ``store.warm_bytes`` gauges and
       :meth:`describe`), so ``/healthz`` can show how much simulation
@@ -327,33 +356,8 @@ class EvictingResultCache(SimResultCache):
             size=size, cost=cost, pri=self._inflate + cost / max(1, size)
         )
 
-    def _remove_dead_temps(self) -> None:
-        """Remove temp files whose writer process no longer exists.
-
-        A writer killed between its temp write and the rename leaves
-        ``<aa>/<fp>.tmp.<pid>.<tid>`` (a shard) or
-        ``index.json.tmp.<pid>.<tid>`` (the index) behind, outside the
-        shard glob and so outside the byte cap.  A live writer's temp
-        stays: CLI runs may share the store.
-        """
-        if os.name != "posix":  # os.kill(pid, 0) is no probe elsewhere
-            return
-        temps = [*self.root.glob("[0-9a-f][0-9a-f]/*.tmp.*"),
-                 *self.root.glob("index.json.tmp.*")]
-        for path in temps:
-            pid = path.name.split(".tmp.", 1)[1].split(".", 1)[0]
-            if not pid.isdigit():
-                continue
-            try:
-                os.kill(int(pid), 0)
-            except ProcessLookupError:
-                path.unlink(missing_ok=True)
-            except PermissionError:  # alive, owned by another user
-                pass
-
     def _open_index(self) -> None:
         """Load the persisted index and reconcile it with the shards."""
-        self._remove_dead_temps()
         indexed: dict[str, _StoreEntry] = {}
         ok = False
         try:

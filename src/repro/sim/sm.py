@@ -13,7 +13,8 @@ metrics rely on (``Σ state_cycles == warp_active_cycles``).
 :class:`SMSimulator` holds the per-SM set-up — memory hierarchy,
 address generators, LSU/MIO/TEX queues, occupancy, rate and seed
 scalars, and the counters — and :meth:`SMSimulator.run` hands the
-cycle loop to a driver compiled for this program
+cycle loop to the driver compiled for this GPU shape, which reads the
+program as per-pc tables built for the run
 (:mod:`repro.sim.specialize`).  The frozen per-cycle scan
 (``sm_reference.ReferenceSMSimulator``) is the behavioural oracle the
 driver is **bit-identical** to, pinned by
@@ -132,10 +133,11 @@ class SMSimulator:
     def run(self) -> EventCounters:
         """Simulate until every assigned block completes; return events.
 
-        The cycle loop is the program's compiled driver
-        (:func:`repro.sim.specialize.driver_for`).  A program the
-        specializer declines runs on the reference scan instead, counted
-        in ``sim.specialize_fallbacks``.
+        The cycle loop is the compiled driver of this GPU shape
+        (:func:`repro.sim.specialize.driver_for`), shared by every
+        program run on it.  A program the specializer declines runs on
+        the reference scan instead, counted in
+        ``sim.specialize_fallbacks``.
         """
         c = self.counters
         if self.blocks_total == 0:

@@ -1,24 +1,27 @@
-"""The compiled per-program cycle loop behind :meth:`SMSimulator.run`.
+"""The compiled cycle loop behind :meth:`SMSimulator.run`.
 
 A generic interpreter would chase opcode tables per issued instruction
 and walk attribute-heavy ``Warp`` objects per examined warp.  This
-module instead *compiles* one ``KernelProgram`` × ``GPUSpec`` ×
-scheduler combination into a flat, closure-light Python driver
-function:
+module instead *compiles* one machine shape, ``GPUSpec`` × scheduler ×
+hiccups on/off, into a flat, closure-light Python driver function and
+hands it each program as tables:
 
-* the per-pc dispatch (kind, functional unit, operand registers,
-  latencies, op-class counters) is baked into the generated source as
-  a binary decision tree over ``pc`` with one straight-line leaf per
-  instruction — no per-issue table lookups survive.  A leaf holds only
-  what differs by pc (the issue body, the pc advance and the next
-  pc's scoreboard scan); the hiccup check before the tree and the
+* every per-spec fact (sub-partitions, dispatch width, unit issue
+  intervals and latencies, queue capacities, cache, branch and shared
+  latencies) is a literal in the generated source;
+* every per-program fact is a tuple indexed by ``pc`` in the program's
+  :class:`_Plan`, built per run and bound to plain locals when the
+  driver starts: the issue dispatches on the pc's kind to one leaf per
+  instruction kind, and each scoreboard scan loops over the pc's
+  register tuple.  The hiccup check before the dispatch and the
   post-issue park after it are emitted once per driver;
 * warp state lives in parallel lists indexed by spawn sequence number
   instead of ``Warp`` objects; the scoreboard is a packed int per
   register (``ready_cycle << 2 | sb_kind``, ``0`` = empty);
-* divergence is resolved statically: active-thread masks are a pure
-  function of ``pc`` (regions reset at the body wrap), so the
-  generated code carries them as literals;
+* the body is straight-line and divergence is resolved statically:
+  active-thread masks are a pure function of ``pc`` (regions reset at
+  the body wrap), so every executed-instruction counter is a per-warp
+  constant of the plan, charged once from the spawned warp count;
 * every SplitMix64 roll (register-bank / dispatch hiccups, i-cache
   fetch misses) and every address-generator access shape is
   precomputed per warp into flat tables, built per run and dropped
@@ -34,12 +37,13 @@ with a reason string and run on the reference scan instead (counted
 in the ``sim.specialize_fallbacks`` obs metric, docs/OBSERVABILITY.md).
 
 Compiled drivers are keyed by a sha-256 content digest of
-``(program, spec, scheduler, hiccups on/off)`` — runtime-only knobs
-(seed, max_cycles, rate *values*, residency) stay out of the key — and
-cached in the process that compiled them.  The cache keeps compiled
-code only (function and plan); the generated source goes back to the
-call that built the driver and nowhere else.  A run's tables are an
-argument of the driver, never state on the simulator, so reference
+``(spec, scheduler, hiccups on/off)`` — the program and the
+runtime-only knobs (seed, max_cycles, rate *values*, residency) stay
+out of the key — and cached in the process that compiled them, so a
+process builds one driver per machine shape it simulates.  The cache
+keeps compiled code only; the generated source goes back to the call
+that built the driver and nowhere else.  A run's plan and tables are
+arguments of the driver, never state on the simulator, so reference
 counting frees the whole run when :meth:`SMSimulator.run` returns.
 """
 
@@ -64,15 +68,16 @@ if TYPE_CHECKING:
     from repro.arch.spec import GPUSpec
     from repro.sim.sm import SMSimulator
 
-#: hard ceilings on what we will compile.  Beyond them the generated
-#: source / per-warp tables stop paying for themselves; the reference
-#: scan handles the long tail.
+#: hard ceilings on what we will run compiled.  Beyond them the
+#: per-run plan and per-warp tables stop paying for themselves; the
+#: reference scan handles the long tail.
 MAX_DYNAMIC_TOKENS = 1 << 16   # iterations * body length
-MAX_BODY_LEN = 512             # one leaf of generated code per pc
+MAX_BODY_LEN = 512             # per-pc plan tables, built every run
 MAX_REGISTER_ID = 4096         # packed scoreboard row length
 
-#: per-pc issue kinds.
-_GLOBAL, _SHARED, _TEX, _CONST, _ALU, _BRA, _BAR, _MEMBAR, _SLEEP = range(9)
+#: per-pc issue kinds.  The driver dispatches ALU first and tests
+#: global and texture together (``kind <= _TEX``), so they follow it.
+_ALU, _GLOBAL, _TEX, _SHARED, _CONST, _BRA, _BAR, _MEMBAR, _SLEEP = range(9)
 
 _MEM_KINDS = (_GLOBAL, _SHARED, _TEX)
 
@@ -131,8 +136,7 @@ def _static_active(program: KernelProgram) -> list[int]:
     return active
 
 
-def _kind_of(inst) -> int:
-    op = inst.opcode
+def _op_kind(op: Opcode) -> int:
     if op.mem_path:
         cls = op.op_class
         if cls is OpClass.MEM_CONSTANT:
@@ -151,6 +155,11 @@ def _kind_of(inst) -> int:
     if op is Opcode.NANOSLEEP:
         return _SLEEP
     return _ALU
+
+
+#: issue kind per opcode: plans are built every run, and an enum
+#: member lookup costs about as much as the rest of a pc's analysis.
+_OP_KIND = {op: _op_kind(op) for op in Opcode}
 
 
 def _fetch_miss_p(program: KernelProgram, spec: "GPUSpec") -> float:
@@ -185,7 +194,7 @@ def check_supported(
         for r in inst.srcs:
             if r > max_reg:
                 max_reg = r
-        kind = _kind_of(inst)
+        kind = _OP_KIND[inst.opcode]
         if kind == _ALU:
             unit = inst.opcode.fu or "ctrl"
             if unit not in units:
@@ -198,43 +207,119 @@ def check_supported(
 
 
 class _Plan:
-    """Static facts the runtime table builder needs, extracted once at
-    compile time (everything else is baked into the source)."""
+    """Everything a driver reads about one program, built per run.
+
+    The per-pc tables the issue dispatch and the scoreboard scans index
+    by ``pc``, the per-warp counter charges, and the static facts the
+    runtime table builder needs.  The compiled driver depends only on
+    the machine shape; this is the rest."""
 
     __slots__ = (
-        "body_len", "iterations", "tokens", "has_rolls", "has_fetch",
-        "bank_pcs", "disp_on", "fetch_pcs", "fetch_p", "table_pcs",
+        "name", "body_len", "iterations", "tokens", "row_len",
+        "kinds", "scans", "units", "dsts", "slots", "plain_next",
+        "selected", "h0", "h1", "h2", "h3", "classes",
+        "branches", "divergent", "barriers",
+        "rolls_on", "has_rolls", "has_fetch", "bank_pcs", "disp_on",
+        "fetch_pcs", "fetch_p", "table_pcs",
     )
 
     def __init__(self, program: KernelProgram, spec: "GPUSpec",
                  config: SimConfig) -> None:
-        nbody = len(program.body)
+        body = program.body
+        nbody = len(body)
+        iters = program.iterations
+        self.name = program.name
         self.body_len = nbody
-        self.iterations = program.iterations
-        self.tokens = program.iterations * nbody
+        self.iterations = iters
+        self.tokens = iters * nbody
         active = _static_active(program)
-        self.bank_pcs = tuple(
-            len(inst.srcs) >= 2 and config.bank_conflict_rate > 0.0
-            for inst in program.body
-        )
         self.disp_on = config.dispatch_stall_rate > 0.0
-        self.has_rolls = self.disp_on or any(self.bank_pcs)
-        self.fetch_p = _fetch_miss_p(program, spec)
-        group = spec.sm.fetch_group_size
-        self.fetch_pcs = tuple(
-            pc for pc in range(nbody) if pc % group == 0
-        )
-        self.has_fetch = self.fetch_p > 0.0 and bool(self.fetch_pcs)
+        bank_on = config.bank_conflict_rate > 0.0
+        # rolls_on: the shape's driver checks a hiccup table at all;
+        # has_rolls: some token of this program can roll.
+        self.rolls_on = self.disp_on or bank_on
+        unit_ix = {fu.name: i
+                   for i, fu in enumerate(spec.sm.functional_units)}
+        ctrl = OpClass.CONTROL.idx
+        per_class = {ctrl: 1}  # + the implicit EXIT
+        kinds, scans, units, dsts, slots, bank_pcs = [], [], [], [], [], []
         # (table_index, pc, kind, pattern name, static active threads)
         table_pcs = []
-        for pc, inst in enumerate(program.body):
-            kind = _kind_of(inst)
-            if kind in _MEM_KINDS or kind == _CONST:
-                table_pcs.append(
-                    (len(table_pcs), pc, kind, inst.mem.pattern,
-                     active[pc])
-                )
+        max_reg = -1
+        n_mem = n_br = n_div = n_bar = 0
+        for pc, inst in enumerate(body):
+            kind = _OP_KIND[inst.opcode]
+            dst = inst.dst
+            regs = inst.srcs if dst is None else (*inst.srcs, dst)
+            kinds.append(kind)
+            # first-seen order, deduplicated: re-scanning a register is
+            # a no-op (the first pass zeroed or kept it; equal ready
+            # cycles never displace the first-seen kind).
+            scans.append(tuple(dict.fromkeys(regs)))
+            max_reg = max((max_reg, *regs))
+            # the unit's index in spec order; -1 off ALU pcs.
+            units.append(
+                unit_ix[inst.opcode.fu or "ctrl"] if kind == _ALU else -1
+            )
+            # the register the issue writes, None for none.
+            mem = kind in _MEM_KINDS
+            dsts.append(None if mem and not inst.opcode.loads else dst)
+            bank_pcs.append(bank_on and len(inst.srcs) >= 2)
+            ci = inst.opcode.op_class.idx
+            per_class[ci] = per_class.get(ci, 0) + iters
+            slots.append(len(table_pcs))
+            if mem or kind == _CONST:
+                table_pcs.append((len(table_pcs), pc, kind,
+                                  inst.mem.pattern, active[pc]))
+                n_mem += mem
+            elif kind == _BRA:
+                br = inst.branch
+                n_br += 1
+                n_div += (0 < round(32 * br.taken_fraction) < 32
+                          or br.else_length > 0)
+            elif kind == _BAR:
+                n_bar += 1
+        self.kinds = tuple(kinds)
+        self.scans = tuple(scans)
+        self.units = tuple(units)
+        # a scoreboard row has one spare slot past the last register:
+        # an issue that writes no register writes there, so no leaf
+        # tests for a destination.  No scan reads it.
+        spare = max_reg + 1
+        self.row_len = max_reg + 2
+        self.dsts = tuple(spare if d is None else d for d in dsts)
+        self.slots = tuple(slots)
+        self.bank_pcs = tuple(bank_pcs)
+        self.has_rolls = self.disp_on or any(bank_pcs)
         self.table_pcs = tuple(table_pcs)
+        self.fetch_p = _fetch_miss_p(program, spec)
+        group = spec.sm.fetch_group_size
+        self.fetch_pcs = tuple(range(0, nbody, group))
+        self.has_fetch = self.fetch_p > 0.0 and bool(self.fetch_pcs)
+        # the next pc where the advance neither wraps nor rolls a
+        # fetch miss, else 0: one test on the common path.
+        self.plain_next = tuple(
+            0 if pc + 1 == nbody
+            or (self.has_fetch and (pc + 1) % group == 0) else pc + 1
+            for pc in range(nbody)
+        )
+        # per-warp counter charges: the body is straight-line (masks,
+        # not control flow), so every warp issues every instruction
+        # exactly once per iteration plus one implicit EXIT.  SELECTED
+        # counts issues — the implicit EXIT is executed (h0-h2 and
+        # class charges) but never takes an issue slot.  h0 and h3 add
+        # the tables' memory-slot sums at run time.
+        self.selected = iters * nbody
+        self.h0 = iters * (nbody - n_mem) + 1
+        self.h1 = iters * nbody + 1
+        self.h2 = iters * sum(active) + 32
+        self.h3 = iters * n_mem
+        self.classes = tuple(
+            (ci, n) for ci, n in sorted(per_class.items()) if n
+        )
+        self.branches = iters * n_br
+        self.divergent = iters * n_div
+        self.barriers = iters * n_bar
 
 
 # ----------------------------------------------------------------------
@@ -268,10 +353,12 @@ class _RuntimeTables:
     def block_tables(self, block_id: int) -> tuple:
         """(rolls, fetch, mem, slots_sum, access_sum) tables for one
         block: the first three are rows indexed by the warp's position
-        within the block; ``slots_sum`` is the block's total LSU
-        wavefront slots across every memory access and ``access_sum``
-        its L1 sector accesses over the inline-probed global/tex
-        entries, both pre-summed for the driver's spawn-time charge."""
+        within the block (a warp's mem row is a tuple of per-iteration
+        entry lists indexed by the pc's memory-table slot);
+        ``slots_sum`` is the block's total LSU wavefront slots across
+        every memory access and ``access_sum`` its L1 sector accesses
+        over the inline-probed global/tex entries, both pre-summed for
+        the driver's counter charge."""
         if block_id not in self._prepared:
             self._build(block_id)
         return self._prepared.pop(block_id)
@@ -292,6 +379,11 @@ class _RuntimeTables:
         nbody = plan.body_len
 
         rolls = fetch = None
+        if plan.rolls_on:
+            # one dict per warp of only the nonzero tokens: rolls are
+            # rare, so the driver's hot path is a single failed
+            # membership test instead of an array load per attempt.
+            rolls = [{} for _ in range(nw)]
         if plan.has_rolls or plan.has_fetch:
             wid_a = _np.array(wids, dtype=_np.uint64)
             prefix = _mix64_np(_np.uint64(sim._seed_acc) ^ wid_a)
@@ -303,10 +395,6 @@ class _RuntimeTables:
                 # codes per dynamic token: 1 = bank conflict (wins),
                 # 2 = dispatch hiccup, 0 = clean — the precedence of
                 # the reference's bank-then-dispatch roll order.
-                # Delivered as one dict per warp of only the nonzero
-                # tokens: rolls are rare, so the driver's hot path is a
-                # single failed membership test instead of an array
-                # load per attempt.
                 code = _np.zeros(base_g.shape, dtype=_np.int8)
                 if plan.disp_on:
                     u = _u01_np(_mix64_np(base_g ^ _NP_11))
@@ -318,7 +406,6 @@ class _RuntimeTables:
                                      dtype=bool)[None, None, :]
                     code[hit] = 1
                 flat = code.reshape(nw, -1)
-                rolls = [{} for _ in range(nw)]
                 nzw, nzt = _np.nonzero(flat)
                 vals = flat[nzw, nzt]
                 for w, t, v in zip(nzw.tolist(), nzt.tolist(),
@@ -336,13 +423,13 @@ class _RuntimeTables:
         lsu = sim._lsu_width
         mem_cols: list[list] = []
         # per-warp sum of LSU wavefront slots over every memory access
-        # of the program — the deterministic part of the hot-counter
-        # pre-charge (h0/h3) the driver applies at spawn time.
+        # of the program — the data-dependent part of the hot-counter
+        # charge (h0/h3) the driver adds to the plan's per-warp one.
         ssum = [0] * nw
         # per-warp L1 sector-access count over the single-L1-line
         # global/tex entries (the ones the driver probes inline);
-        # charged in bulk at spawn, with hits recovered in the
-        # driver's ``finally`` as accesses - misses.
+        # charged in bulk in the driver's ``finally``, with hits
+        # recovered there as accesses - misses.
         asum = [0] * nw
         l1c = sim.memory.l1
         l2c = sim.memory.l2
@@ -505,13 +592,14 @@ class _RuntimeTables:
                     col.append(row)
             mem_cols.append(col)
 
+        mem = list(zip(*mem_cols)) if mem_cols else [()] * nw
         for i, b in enumerate(range(b0, hi)):
             lo = i * wpb
             hi_w = lo + wpb
             self._prepared[b] = (
                 rolls[lo:hi_w] if rolls is not None else None,
                 fetch[lo:hi_w] if fetch is not None else None,
-                tuple(col[lo:hi_w] for col in mem_cols),
+                mem[lo:hi_w],
                 sum(ssum[lo:hi_w]),
                 sum(asum[lo:hi_w]),
             )
@@ -521,36 +609,36 @@ class _RuntimeTables:
 # driver cache
 # ----------------------------------------------------------------------
 class _Driver:
-    """A compiled driver: its plan and ``drive`` function.  ``source``
-    is the generated module text on the driver a build returns and
-    ``None`` on the copy the cache keeps."""
+    """A compiled driver for one machine shape and its ``drive``
+    function.  ``source`` is the generated module text on the driver a
+    build returns and ``None`` on the copy the cache keeps."""
 
-    __slots__ = ("plan", "fn", "source")
+    __slots__ = ("fn", "source")
 
-    def __init__(self, plan: _Plan, fn, source: str | None = None) -> None:
-        self.plan = plan
+    def __init__(self, fn, source: str | None = None) -> None:
         self.fn = fn
         self.source = source
 
     def drive(self, sim: "SMSimulator") -> None:
-        """Run ``sim``'s cycle loop; counters land in its accumulators."""
-        self.fn(sim, _RuntimeTables(sim, self.plan).block_tables)
+        """Run ``sim``'s cycle loop; counters land in its accumulators.
+        The program's plan and tables are built here, for this run."""
+        plan = _Plan(sim.program, sim.spec, sim.config)
+        self.fn(sim, _RuntimeTables(sim, plan).block_tables, plan)
 
 
-#: key -> _Driver (compiled code, no source) or str (decline reason).
-_DRIVER_CACHE: dict[str, "_Driver | str"] = {}
+#: key -> compiled driver (no source), one per machine shape.
+_DRIVER_CACHE: dict[str, _Driver] = {}
 
 
-def specialization_key(program: KernelProgram, spec: "GPUSpec",
-                       config: SimConfig) -> str:
-    """Content key of the *generated code*: program, spec and the
-    config facts that shape codegen (scheduler policy, whether hiccup
-    rolls exist at all).  Seed, rate values, max_cycles and residency
-    are runtime inputs of the driver, not of the code.  The program
-    and spec encodings come from the fingerprint module's per-object
-    memo, so re-keying a long-lived program per SM run is cheap."""
+def specialization_key(spec: "GPUSpec", config: SimConfig) -> str:
+    """Content key of the *generated code*: the spec and the config
+    facts that shape codegen (scheduler policy, whether each kind of
+    hiccup roll exists at all).  The program, seed, rate values,
+    max_cycles and residency are runtime inputs of the driver, not of
+    the code.  The spec encoding comes from the fingerprint module's
+    per-object memo, so re-keying per SM run is cheap."""
     return content_digest(
-        program, spec, config.scheduler,
+        spec, config.scheduler,
         config.bank_conflict_rate > 0.0,
         config.dispatch_stall_rate > 0.0,
     )
@@ -572,15 +660,22 @@ def _compile_source(source: str, key: str):
 
 def driver_for(program: KernelProgram, spec: "GPUSpec",
                config: SimConfig) -> "_Driver | str":
-    """Compiled driver for the combination, or a decline reason.
+    """Compiled driver for the program's machine shape, or the reason
+    the program is declined.
 
-    In-process cache first (``sim.specialize_hits`` / ``_misses``
-    count exactly these lookups — determinism contract in
-    docs/OBSERVABILITY.md), codegen and compile on a miss.  Only the
-    call that builds a driver gets its ``source``; the cache keeps the
-    compiled function and plan, and a hit returns that cached driver.
+    ``check_supported`` runs on every call, so a declined program
+    counts in neither ``sim.specialize_hits`` nor ``_misses`` (its run
+    counts in ``sim.specialize_fallbacks``).  Otherwise the lookup
+    counts as exactly one of the two — determinism contract in
+    docs/OBSERVABILITY.md — and a miss generates and compiles the
+    shape's driver.  Only the call that builds a driver gets its
+    ``source``; the cache keeps the compiled function, and a hit
+    returns that cached driver.
     """
-    key = specialization_key(program, spec, config)
+    reason = check_supported(program, spec, config)
+    if reason is not None:
+        return reason
+    key = specialization_key(spec, config)
     cached = _DRIVER_CACHE.get(key)
     metrics = active_obs().metrics
     if cached is not None:
@@ -589,17 +684,10 @@ def driver_for(program: KernelProgram, spec: "GPUSpec",
         return cached
     if metrics.enabled:
         metrics.inc("sim.specialize_misses")
-
-    reason = check_supported(program, spec, config)
-    if reason is not None:
-        _DRIVER_CACHE[key] = reason
-        return reason
-
-    plan = _Plan(program, spec, config)
-    source = generate_driver_source(program, spec, config)
+    source = generate_driver_source(spec, config)
     fn = _compile_source(source, key)
-    _DRIVER_CACHE[key] = _Driver(plan, fn)
-    return _Driver(plan, fn, source)
+    _DRIVER_CACHE[key] = _Driver(fn)
+    return _Driver(fn, source)
 
 
 # ----------------------------------------------------------------------
@@ -633,59 +721,40 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _emit_tree(em: _Emitter, pcs: list[int], leaf) -> None:
-    """Binary decision tree over the sorted pc list; ``leaf(pc)``
-    emits each straight-line leaf body."""
-    if len(pcs) == 1:
-        leaf(pcs[0])
-        return
-    mid = len(pcs) // 2
-    with em.blk(f"if p < {pcs[mid]}:"):
-        _emit_tree(em, pcs[:mid], leaf)
-    with em.blk("else:"):
-        _emit_tree(em, pcs[mid:], leaf)
+def generate_driver_source(spec: "GPUSpec", config: SimConfig) -> str:
+    """Compile one machine shape, (spec, scheduler, hiccups on/off), to
+    the source of a ``drive(sim, block_tables, plan)`` function, where
+    ``block_tables`` is the run's :meth:`_RuntimeTables.block_tables`
+    and ``plan`` the program's :class:`_Plan`.
 
-
-def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
-                           config: SimConfig) -> str:
-    """Compile one (program, spec, scheduler, hiccups on/off) combo to
-    the source of a ``drive(sim, block_tables)`` function, where
-    ``block_tables`` is the run's :meth:`_RuntimeTables.block_tables`.
-
-    The generated loop is an event-driven scheduler with every
-    per-program decision resolved at generation time; see the module
-    docstring for the specialization inventory.  Warps in a timed wait
-    sit in per sub-partition wake heaps and are untouched until they
-    wake, stall cycles are charged in bulk when a warp is next
+    The generated loop is an event-driven scheduler.  Warps in a timed
+    wait sit in per sub-partition wake heaps and are untouched until
+    they wake, stall cycles are charged in bulk when a warp is next
     examined, and cycles in which every warp sleeps are skipped.  An
-    issue attempt is one hiccup check, a decision tree over ``pc``
-    whose leaves hold the issue body, the pc advance and the next
-    pc's scoreboard scan, and one post-issue park shared by every
-    leaf that does not end itself (see ``emit_attempt``).  Its
-    counters must equal the reference scan's
+    issue attempt is one hiccup check, a dispatch on the pc's kind with
+    one leaf per instruction kind, the pc advance with the next pc's
+    scoreboard scan, and one post-issue park (see ``emit_attempt``).
+    Per-spec facts are literals and per-program facts are read from
+    the plan's tables, so nothing in the source depends on the
+    program.  Its counters must equal the reference scan's
     (``sm_reference.ReferenceSMSimulator``): classification order
     within a cycle (sub-partition major, spawn order minor) and every
     ``(seed, warp_id, iteration, pc)``-keyed roll are preserved.
     """
     from repro.sim.stall_reasons import WarpState
 
-    plan = _Plan(program, spec, config)
-    body = program.body
-    nbody = len(body)
-    iters = program.iterations
-    active = _static_active(program)
     sm = spec.sm
     nsmsp = sm.subpartitions
     dispatch_n = sm.dispatch_units_per_subpartition
     icl = sm.icache_miss_latency
     brl = sm.branch_resolve_latency
     shl = spec.memory.shared_latency
-    fg = sm.fetch_group_size
     gto = config.scheduler == "gto"
-    fu_eff = {
-        f.name: (max(1, f.issue_interval // f.pipes), f.latency)
-        for f in sm.functional_units
-    }
+    rolls_on = (config.bank_conflict_rate > 0.0
+                or config.dispatch_stall_rate > 0.0)
+    units = sm.functional_units
+    ueff = tuple(max(1, f.issue_interval // f.pipes) for f in units)
+    ulat = tuple(f.latency for f in units)
 
     SELI = WarpState.SELECTED.idx
     NSELI = WarpState.NOT_SELECTED.idx
@@ -707,69 +776,22 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
     DRAINI = WarpState.DRAIN.idx
     # scoreboard kind (SB_FIXED / SB_LONG / SB_SHORT) -> blocked-state index.
     sbt = f"({WAITI}, {LONGI}, {SHORTI})"
-    ctrl_idx = OpClass.CONTROL.idx
     barw = 1 << 60
 
-    kinds = [_kind_of(inst) for inst in body]
-    has_gl = _GLOBAL in kinds or _TEX in kinds
-    tbl_by_pc = {pc: j for j, pc, _k, _p, _a in plan.table_pcs}
-    srcs_by_pc = [inst.srcs for inst in body]
-    dst_by_pc = [inst.dst for inst in body]
-    has_rolls = plan.has_rolls
-    has_fetch = plan.has_fetch
-    max_reg = -1
-    for inst in body:
-        for r in (inst.dst, *inst.srcs):
-            if r is not None and r > max_reg:
-                max_reg = r
-    nregs = max_reg + 1
-
+    # kind -> (completion-list variable, queue attribute, capacity,
+    # cycles per transaction, throttle state).
     queue_info = {
         _GLOBAL: ("lgq", "lg_queue", spec.memory.lg_queue_entries, 1,
                   LGI),
-        _SHARED: ("mioq", "mio_queue", spec.memory.mio_queue_entries,
-                  2, MIOI),
         _TEX: ("texq", "tex_queue", spec.memory.tex_queue_entries, 2,
                TEXI),
+        _SHARED: ("mioq", "mio_queue", spec.memory.mio_queue_entries,
+                  2, MIOI),
     }
-
-    def fetch_at(npc: int) -> bool:
-        return has_fetch and npc % fg == 0
-
-    def scan_regs(pc: int) -> list[int]:
-        # first-seen order, deduplicated: re-scanning a register is a
-        # no-op (the first pass zeroed or kept it; equal ready cycles
-        # never displace the first-seen kind), so duplicates would only
-        # replay dead comparisons in the generated scan.
-        regs = list(srcs_by_pc[pc])
-        if dst_by_pc[pc] is not None:
-            regs.append(dst_by_pc[pc])
-        return list(dict.fromkeys(regs))
-
-    used_units = sorted({
-        (body[pc].opcode.fu or "ctrl")
-        for pc in range(nbody) if kinds[pc] == _ALU
-    })
-    used_queues = sorted({k for k in kinds if k in queue_info})
-    used_cls = sorted(
-        {inst.opcode.op_class.idx for inst in body} | {ctrl_idx}
-    )
-    any_bra = _BRA in kinds
-    any_div = any(
-        kinds[pc] == _BRA and (
-            0 < round(32 * body[pc].branch.taken_fraction) < 32
-            or body[pc].branch.else_length > 0
-        )
-        for pc in range(nbody)
-    )
-    any_bar = _BAR in kinds
-
-    def unit_var(u: str) -> str:
-        return "nf_" + u
 
     em = _Emitter()
 
-    # -- leaf-body emit helpers ----------------------------------------
+    # -- attempt emit helpers ------------------------------------------
     def emit_push(rc_expr: str) -> None:
         # no epoch bump: a parking warp never has a live heap entry
         # (its wake was popped, or it came from the pool/ready list),
@@ -778,17 +800,17 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
         # itself.
         em.line(f"push(heap, ({rc_expr}, s, epo[s]))")
 
-    def emit_scan(regs: list[int], cyc: str, tgt: str, kv: str) -> None:
-        """Inlined scoreboard scan: packed row, srcs then dst, expired
-        entries zeroed, strictly-later ready wins (ties keep the
-        first-seen kind)."""
+    def emit_scan(regs: str, cyc: str, tgt: str, kv: str) -> None:
+        """Scoreboard scan over the register tuple ``regs`` (srcs then
+        dst): expired entries zeroed, strictly-later ready wins (ties
+        keep the first-seen kind)."""
         em.line("row = pend[s]")
-        for r in regs:
-            em.line(f"e_ = row[{r}]")
+        with em.blk(f"for q_ in {regs}:"):
+            em.line("e_ = row[q_]")
             with em.blk("if e_:"):
                 em.line("r_ = e_ >> 2")
                 with em.blk(f"if r_ <= {cyc}:"):
-                    em.line(f"row[{r}] = 0")
+                    em.line("row[q_] = 0")
                 with em.blk(f"elif r_ > {tgt}:"):
                     em.line(f"{tgt} = r_")
                     em.line(f"{kv} = e_ & 3")
@@ -827,14 +849,13 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
             emit_push("rcf")
         em.line("continue")
 
-    def emit_tail(npc: int | None, fast: bool = True) -> None:
-        """Post-issue epilogue of one leaf.
+    def emit_tail(fast: bool, scan: bool = True) -> None:
+        """Post-issue epilogue, once the pc has advanced to ``nx``.
 
-        ``fast`` (the default) emits the per-pc half of the
-        wake-collapsed form: the next instruction's scoreboard scan runs
-        *now* with the cutoff at the warp's ready cycle ``rc``, leaving
-        ``prdy``/``pk``, and the leaf falls out of the issue tree into
-        the park :func:`emit_attempt` emits once after it.  All the
+        ``fast`` emits the first half of the wake-collapsed form: the
+        next instruction's scoreboard scan runs *now* with the cutoff
+        at the warp's ready cycle ``rc``, leaving ``prdy``/``pk`` for
+        the park :func:`emit_attempt` emits after it.  All the
         quantities an intermediate wake-up would discover are already
         known here — pend rows hold fixed completion cycles and only
         this warp writes them.  Every fast-tail issue body leaves
@@ -845,15 +866,13 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
         wake and classify) — required for barrier waits (a barrier
         release must re-scan un-expired entries) and drain warps
         (``candf`` must stay clear so the exam loop retires them).
-        It ends the leaf itself.  A draining warp passes ``npc=None``:
-        it has exited, so there is no next instruction to scan, and it
-        retires once its memory drains."""
-        regs = scan_regs(npc) if npc is not None else []
+        It ends the attempt itself.  A draining warp passes
+        ``scan=False``: it has exited, so there is no next instruction
+        to scan, and it retires once its memory drains."""
         if fast:
             em.line("rc = rdy[s]")
             em.line("prdy = -1")
-            if regs:
-                emit_scan(regs, "rc", "prdy", "pk")
+            emit_scan("SCAN[nx]", "rc", "prdy", "pk")
             return
         if dispatch_n != 1:
             em.line("budget -= 1")
@@ -866,9 +885,9 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
         with em.blk("if rc > cycle1:"):
             emit_push("rc")
             emit_issue_done()
-        if regs:
+        if scan:
             em.line("prdy = -1")
-            emit_scan(regs, "cycle1", "prdy", "pk")
+            emit_scan("SCAN[nx]", "cycle1", "prdy", "pk")
             with em.blk("if prdy >= 0:"):
                 em.line(f"wi = {sbt}[pk]")
                 em.line("widx[s] = wi")
@@ -890,146 +909,156 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                 em.line("rdy[s] = mr")
                 em.line(f"widx[s] = {NOINSTI}")
 
-    def emit_advance(pc: int, fast: bool = True) -> None:
-        """pc/iteration advance + fetch-miss roll + tail; the wrap
-        case carries the implicit-EXIT drain/retire split.  The
+    def emit_advance(fast: bool) -> None:
+        """pc/iteration advance to ``nx`` + fetch-miss roll + tail; the
+        wrap case carries the implicit-EXIT drain/retire split.  The
         implicit EXIT's executed-instruction counters are part of the
-        spawn-time pre-charge; drain parks always use the legacy tail
-        (``candf`` must stay clear for the exam loop to retire them)."""
-        npc = pc + 1
-        if npc < nbody:
-            em.line(f"pcs[s] = {npc}")
-            if fetch_at(npc):
-                emit_fetch_check(f"it * {nbody} + {npc}")
-            emit_tail(npc, fast)
-            return
-        em.line("it2 = it + 1")
-        em.line("its[s] = it2")
-        em.line("pcs[s] = 0")
-        with em.blk(f"if it2 >= {iters}:"):
-            # implicit EXIT (counters pre-charged at spawn); no fetch.
-            em.line("lm = lastm[s]")
-            with em.blk("if lm > cycle:"):
-                em.line("rdy[s] = lm")
-                em.line(f"widx[s] = {DRAINI}")
-                em.line("drainf[s] = True")
-                emit_tail(None, fast=False)
-            with em.blk("else:"):
-                em.line("pool.remove(s)")
-                em.line("retire(s, cycle, smp_i, None)")
-                if dispatch_n != 1:
-                    em.line("budget -= 1")
-                if gto:
-                    em.line("greedy[smp_i] = s")
-                em.line("stall[s] = cycle1")
-                emit_issue_done()
-        if fetch_at(0):
-            emit_fetch_check(f"it2 * {nbody}")
-        emit_tail(0, fast)
-
-    def emit_classify_leaf(pc: int) -> None:
-        regs = scan_regs(pc)
-        if not regs:
-            em.line("pass")
-            return
-        emit_scan(regs, "cycle", "brdy", "bk")
-
-    def emit_issue_leaf(pc: int) -> None:
-        kind = kinds[pc]
-        dst = dst_by_pc[pc]
-        if kind == _ALU:
-            eff, lat = fu_eff[body[pc].opcode.fu or "ctrl"]
-            nv = unit_var(body[pc].opcode.fu or "ctrl")
-            with em.blk(f"if {nv}[smp_i] > cycle:"):
-                emit_fail(MATHI, f"{nv}[smp_i]")
-            em.line(f"{nv}[smp_i] = cycle + {eff}")
-            if dst is not None:
-                em.line(f"pend[s][{dst}] = (cycle + {lat}) << 2")
-            em.line("rdy[s] = cycle1")
-        elif kind in _MEM_KINDS:
-            j = tbl_by_pc[pc]
-            var, _attr, cap, di, thr = queue_info[kind]
-            em.line(f"e_ = T{j}[s][it]")
-            em.line("trans = e_[0]")
-            em.line(f"comp = {var}[smp_i]")
-            with em.blk("while comp and comp[0] <= cycle:"):
-                em.line("comp.popleft()")
-            with em.blk("if comp:"):
-                with em.blk(f"if len(comp) + trans > {cap}:"):
-                    emit_fail(thr, "comp[0]")
-                em.line("done = comp[-1]")
-            with em.blk("else:"):
-                em.line("done = cycle")
-            if di == 1:
-                em.line("comp.extend(range(done + 1, done + trans + 1))")
-                em.line("done += trans")
-            else:
-                em.line(f"comp.extend(range(done + {di}, "
-                        f"done + {di} * trans + 1, {di}))")
-                em.line(f"done += {di} * trans")
-            if kind == _SHARED:
-                em.line(f"complete = done + {shl}")
-                sbk = 2
-            else:
-                # 6-tuple: single-L1-line access with the probe
-                # geometry precomputed at table-build time — run the
-                # sectored lookup inline (the access count was charged
-                # at spawn; only misses and L2 hits are tracked here).
-                with em.blk("if len(e_) == 6:"):
-                    em.line("cs = l1s[e_[3]]")
-                    with em.blk("if e_[2] in cs:"):
-                        with em.blk("if cs[-1] != e_[2]:"):
-                            em.line("cs.remove(e_[2])")
-                            em.line("cs.append(e_[2])")
-                        em.line("lat = L1HIT")
-                    with em.blk("else:"):
-                        em.line("m1 += 1")
-                        with em.blk("if len(cs) >= W1:"):
-                            em.line("cs.pop(0)")
-                        em.line("cs.append(e_[2])")
-                        em.line("cs2 = l2s[e_[5]]")
-                        with em.blk("if e_[4] in cs2:"):
-                            with em.blk("if cs2[-1] != e_[4]:"):
-                                em.line("cs2.remove(e_[4])")
-                                em.line("cs2.append(e_[4])")
-                            em.line("h2c += 1")
-                            em.line("lat = L2LAT")
-                        with em.blk("else:"):
-                            with em.blk("if len(cs2) >= W2:"):
-                                em.line("cs2.pop(0)")
-                            em.line("cs2.append(e_[4])")
-                            em.line("lat = DRAML")
-                with em.blk("elif e_[2] >= 0:"):
-                    em.line("lat = g_span(e_[2], e_[3])")
+        plan's per-warp charge; drain parks always use the two-step
+        tail (``candf`` must stay clear for the exam loop to retire
+        them)."""
+        em.line("nx = NEXT[p]")
+        with em.blk("if nx:"):
+            em.line("pcs[s] = nx")
+        with em.blk("elif p + 1 < NBODY:"):
+            # a fetch-roll point
+            em.line("nx = p + 1")
+            em.line("pcs[s] = nx")
+            emit_fetch_check("it * NBODY + nx")
+        with em.blk("else:"):
+            em.line("it2 = it + 1")
+            em.line("its[s] = it2")
+            em.line("pcs[s] = 0")
+            with em.blk("if it2 >= ITERS:"):
+                # implicit EXIT (counters charged per warp); no fetch.
+                em.line("lm = lastm[s]")
+                with em.blk("if lm > cycle:"):
+                    em.line("rdy[s] = lm")
+                    em.line(f"widx[s] = {DRAINI}")
+                    em.line("drainf[s] = True")
+                    emit_tail(fast=False, scan=False)
                 with em.blk("else:"):
-                    em.line("lat = g_list(e_[3])")
-                em.line("complete = done + lat")
-                sbk = 1
-            if body[pc].opcode.loads and dst is not None:
-                em.line(f"pend[s][{dst}] = complete << 2 | {sbk}")
-            with em.blk("if complete > lastm[s]:"):
-                em.line("lastm[s] = complete")
-            with em.blk("if trans > 1:"):
-                em.line("t_ = cycle + e_[1]")
-                with em.blk("if t_ > dbusy[smp_i]:"):
-                    em.line("dbusy[smp_i] = t_")
-                em.line("rdy[s] = t_")
+                    em.line("pool.remove(s)")
+                    em.line("retire(s, cycle, smp_i, None)")
+                    if dispatch_n != 1:
+                        em.line("budget -= 1")
+                    if gto:
+                        em.line("greedy[smp_i] = s")
+                    em.line("stall[s] = cycle1")
+                    emit_issue_done()
+            em.line("nx = 0")
+            with em.blk("if FETCH0:"):
+                emit_fetch_check("it2 * NBODY")
+        emit_tail(fast)
+
+    def emit_queue(kind: int) -> None:
+        """Push ``trans`` transactions into the kind's queue, or fail
+        the attempt on its throttle; leaves the last slot in ``done``."""
+        var, _attr, cap, di, thr = queue_info[kind]
+        em.line(f"comp = {var}[smp_i]")
+        with em.blk("while comp and comp[0] <= cycle:"):
+            em.line("comp.popleft()")
+        with em.blk("if comp:"):
+            with em.blk(f"if len(comp) + trans > {cap}:"):
+                emit_fail(thr, "comp[0]")
+            em.line("done = comp[-1]")
+        with em.blk("else:"):
+            em.line("done = cycle")
+        if di == 1:
+            em.line("comp.extend(range(done + 1, done + trans + 1))")
+            em.line("done += trans")
+        else:
+            em.line(f"comp.extend(range(done + {di}, "
+                    f"done + {di} * trans + 1, {di}))")
+            em.line(f"done += {di} * trans")
+
+    def emit_mem_done(sbk: int) -> None:
+        """Scoreboard write, drain horizon and wavefront-cost wait of a
+        memory issue that completes at ``complete``."""
+        em.line(f"pend[s][DST[p]] = complete << 2 | {sbk}")
+        with em.blk("if complete > lastm[s]:"):
+            em.line("lastm[s] = complete")
+        with em.blk("if trans > 1:"):
+            em.line("t_ = cycle + e_[1]")
+            with em.blk("if t_ > dbusy[smp_i]:"):
+                em.line("dbusy[smp_i] = t_")
+            em.line("rdy[s] = t_")
+        with em.blk("else:"):
+            em.line("rdy[s] = cycle1")
+
+    def emit_issue() -> None:
+        """The issue body: a dispatch on the pc's kind, ALU first, with
+        one leaf per kind reading its per-pc facts from the plan.
+        Every leaf but the barrier's falls through to the common pc
+        advance; the barrier's advances with the two-step park and
+        ends the attempt itself."""
+        # NFU[p] is the pc's unit list, None off ALU pcs: the ALU test
+        # is the first lookup the ALU leaf needs anyway.
+        em.line("nfu = NFU[p]")
+        with em.blk("if nfu:"):
+            with em.blk("if nfu[smp_i] > cycle:"):
+                emit_fail(MATHI, "nfu[smp_i]")
+            em.line("nfu[smp_i] = cycle + EFF[p]")
+            em.line("pend[s][DST[p]] = (cycle + LAT[p]) << 2")
+            em.line("rdy[s] = cycle1")
+        with em.blk(f"elif (kd := KIND[p]) <= {_TEX}:"):
+            em.line("e_ = MEM[s][SLOT[p]][it]")
+            em.line("trans = e_[0]")
+            with em.blk(f"if kd == {_GLOBAL}:"):
+                emit_queue(_GLOBAL)
             with em.blk("else:"):
-                em.line("rdy[s] = cycle1")
-        elif kind == _CONST:
-            j = tbl_by_pc[pc]
-            em.line(f"missed, lat = c_one(T{j}[s][it])")
+                emit_queue(_TEX)
+            # 6-tuple: single-L1-line access with the probe geometry
+            # precomputed at table-build time — run the sectored lookup
+            # inline (the access count is charged from the tables; only
+            # misses and L2 hits are tracked here).
+            with em.blk("if len(e_) == 6:"):
+                em.line("cs = l1s[e_[3]]")
+                with em.blk("if e_[2] in cs:"):
+                    with em.blk("if cs[-1] != e_[2]:"):
+                        em.line("cs.remove(e_[2])")
+                        em.line("cs.append(e_[2])")
+                    em.line("lat = L1HIT")
+                with em.blk("else:"):
+                    em.line("m1 += 1")
+                    with em.blk("if len(cs) >= W1:"):
+                        em.line("cs.pop(0)")
+                    em.line("cs.append(e_[2])")
+                    em.line("cs2 = l2s[e_[5]]")
+                    with em.blk("if e_[4] in cs2:"):
+                        with em.blk("if cs2[-1] != e_[4]:"):
+                            em.line("cs2.remove(e_[4])")
+                            em.line("cs2.append(e_[4])")
+                        em.line("h2c += 1")
+                        em.line("lat = L2LAT")
+                    with em.blk("else:"):
+                        with em.blk("if len(cs2) >= W2:"):
+                            em.line("cs2.pop(0)")
+                        em.line("cs2.append(e_[4])")
+                        em.line("lat = DRAML")
+            with em.blk("elif e_[2] >= 0:"):
+                em.line("lat = g_span(e_[2], e_[3])")
+            with em.blk("else:"):
+                em.line("lat = g_list(e_[3])")
+            em.line("complete = done + lat")
+            emit_mem_done(1)
+        with em.blk(f"elif kd == {_SHARED}:"):
+            em.line("e_ = MEM[s][SLOT[p]][it]")
+            em.line("trans = e_[0]")
+            emit_queue(_SHARED)
+            em.line(f"complete = done + {shl}")
+            emit_mem_done(2)
+        with em.blk(f"elif kd == {_CONST}:"):
+            em.line("missed, lat = c_one(MEM[s][SLOT[p]][it])")
             with em.blk("if missed:"):
                 em.line("rdy[s] = cycle + lat")
                 em.line(f"widx[s] = {IMCI}")
             with em.blk("else:"):
                 em.line("rdy[s] = cycle1")
-            if dst is not None:
-                em.line(f"pend[s][{dst}] = (cycle + lat) << 2")
-        elif kind == _BRA:
+            em.line("pend[s][DST[p]] = (cycle + lat) << 2")
+        with em.blk(f"elif kd == {_BRA}:"):
             em.line(f"rdy[s] = cycle + {brl}")
             em.line(f"widx[s] = {BRESI}")
-        elif kind == _BAR:
+        with em.blk(f"elif kd == {_BAR}:"):
             em.line("b_ = blk_l[s]")
             em.line("a_ = barrier_arrivals[b_] + 1")
             em.line("barrier_arrivals[b_] = a_")
@@ -1040,25 +1069,24 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                 em.line("atbar[s] = True")
                 em.line(f"rdy[s] = {barw}")
                 em.line(f"widx[s] = {BARRI}")
-        elif kind == _MEMBAR:
+            emit_advance(fast=False)
+        with em.blk(f"elif kd == {_MEMBAR}:"):
             em.line("lm = lastm[s]")
             em.line(f"wk = cycle + {shl}")
             with em.blk("if lm > wk:"):
                 em.line("wk = lm")
             em.line("rdy[s] = wk")
             em.line(f"widx[s] = {MEMBARI}")
-        else:  # _SLEEP
+        with em.blk("else:"):  # _SLEEP
             em.line("rdy[s] = cycle + 40")
             em.line(f"widx[s] = {SLEEPI}")
-        emit_advance(pc, kind != _BAR)
 
     def emit_attempt() -> None:
         """One issue attempt of pooled warp ``s``: the hiccup check,
-        the per-pc issue tree, then the fast-tail park every leaf that
-        does not end itself falls into."""
+        the issue dispatch, the pc advance, then the fast-tail park."""
         em.line("it = its[s]")
         em.line("p = pcs[s]")
-        if has_rolls:
+        if rolls_on:
             # HIC[s] holds only this warp's *pending* nonzero hiccup
             # tokens (1 = bank conflict, 2 = dispatch hiccup; a pc that
             # cannot roll either never holds one); pop-on-hit is the
@@ -1066,9 +1094,8 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
             # ``Warp.hiccup_token``.  The park is pre-settled (sc += 2
             # covers the issue cycle and the one-cycle park, stall
             # seats at the wake cycle — see emit_fail).
-            tok = f"it * {nbody} + p"
-            with em.blk(f"if {tok} in HIC[s]:"):
-                em.line(f"wi = {MISCI} if HIC[s].pop({tok}) == 1 "
+            with em.blk("if it * NBODY + p in HIC[s]:"):
+                em.line(f"wi = {MISCI} if HIC[s].pop(it * NBODY + p) == 1 "
                         f"else {DSTALLI}")
                 em.line("widx[s] = wi")
                 em.line("sc[wi] += 2")
@@ -1077,22 +1104,19 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                 em.line("pool.remove(s)")
                 emit_push("cycle + 2")
                 em.line("continue")
-        if nbody > 1:
-            _emit_tree(em, list(range(nbody)), emit_issue_leaf)
-        else:
-            emit_issue_leaf(0)
+        emit_issue()
+        emit_advance(fast=True)
         # the fast-tail park, pre-settled (full stall interval charged
         # now, ``stall`` seated at the wake cycle — see emit_fail; a
         # pooled warp's ``stall`` is never read, so no seat-at-issue
-        # write).  When the leaf's scan found a pending register
-        # (prdy >= 0), the intermediate wake at rc is collapsed: its
-        # settle charge (old widx), the classify park and the final
-        # wake's settle in one step.  ``candf`` marks the warp a known
-        # candidate, so its wake takes the exam fast path instead of
-        # the classify tree.  Counter totals are cycle-for-cycle those
-        # of the uncollapsed path; only the loop-internal
-        # processed/skipped/wake statistics (not part of
-        # :class:`EventCounters`) shift.
+        # write).  When the scan found a pending register (prdy >= 0),
+        # the intermediate wake at rc is collapsed: its settle charge
+        # (old widx), the classify park and the final wake's settle in
+        # one step.  ``candf`` marks the warp a known candidate, so its
+        # wake takes the exam fast path instead of the classify scan.
+        # Counter totals are cycle-for-cycle those of the uncollapsed
+        # path; only the loop-internal processed/skipped/wake
+        # statistics (not part of :class:`EventCounters`) shift.
         if dispatch_n != 1:
             em.line("budget -= 1")
         if gto:
@@ -1118,43 +1142,56 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
         emit_issue_done()
 
     # -- module header -------------------------------------------------
-    em.line("# generated by repro.sim.specialize "
-            f"for kernel {program.name!r}")
+    em.line(f"# generated by repro.sim.specialize for {spec.name!r}")
     em.line(f"# scheduler={config.scheduler} smsp={nsmsp} "
-            f"body={nbody} iterations={iters}")
+            f"dispatch={dispatch_n} hiccups={'on' if rolls_on else 'off'}")
     em.line("from bisect import insort")
     em.line("from heapq import heappop, heappush")
     em.line()
     em.line("from repro.errors import SimulationError")
     em.line()
     em.line()
-    em.line("def drive(sim, block_tables):")
+    em.line("def drive(sim, block_tables, plan):")
     with em.indent():
         # -- preamble: bind everything hot into locals -----------------
+        em.line("NBODY = plan.body_len")
+        em.line("ITERS = plan.iterations")
+        em.line("ROW = plan.row_len")
+        em.line("KIND = plan.kinds")
+        em.line("SCAN = plan.scans")
+        em.line("DST = plan.dsts")
+        em.line("SLOT = plan.slots")
+        em.line("NEXT = plan.plain_next")
+        em.line("FETCH0 = plan.has_fetch")
+        # per pc, its functional unit's per sub-partition next-free
+        # cycles, issue interval and latency (units in spec order; a
+        # non-ALU pc's -1 reads values no leaf uses).
+        em.line(f"nf = [[0] * {nsmsp} for _ in range({len(units)})]")
+        em.line("NFU = [nf[u] if u >= 0 else None for u in plan.units]")
+        em.line(f"EFF = [{ueff!r}[u] for u in plan.units]")
+        em.line(f"LAT = [{ulat!r}[u] for u in plan.units]")
         em.line("WPB = sim.launch.warps_per_block")
         em.line("TOTAL = sim.blocks_total")
         em.line("minb = sim.max_concurrent_blocks")
         with em.blk("if minb > TOTAL:"):
             em.line("minb = TOTAL")
         em.line("maxc = sim.config.max_cycles")
-        if has_gl:
-            em.line("g_span = sim.memory.access_global_span")
-            em.line("g_list = sim.memory.access_global")
-            # the single-L1-line probe runs inline in the issue leaves:
-            # bind the cache internals and latency classes once.
-            em.line("l1_ = sim.memory.l1")
-            em.line("l2_ = sim.memory.l2")
-            em.line("l1s = l1_._sets")
-            em.line("l2s = l2_._sets")
-            em.line("W1 = l1_._ways")
-            em.line("W2 = l2_._ways")
-            em.line("L1HIT = l1_.spec.hit_latency")
-            em.line("t_ = l2_.spec.hit_latency")
-            em.line("L2LAT = t_ if t_ > L1HIT else L1HIT")
-            em.line("t_ = sim.memory.dram_latency")
-            em.line("DRAML = t_ if t_ > L1HIT else L1HIT")
-        if _CONST in kinds:
-            em.line("c_one = sim.memory.access_constant_sector")
+        em.line("g_span = sim.memory.access_global_span")
+        em.line("g_list = sim.memory.access_global")
+        # the single-L1-line probe runs inline in the global/tex leaf:
+        # bind the cache internals and latency classes once.
+        em.line("l1_ = sim.memory.l1")
+        em.line("l2_ = sim.memory.l2")
+        em.line("l1s = l1_._sets")
+        em.line("l2s = l2_._sets")
+        em.line("W1 = l1_._ways")
+        em.line("W2 = l2_._ways")
+        em.line("L1HIT = l1_.spec.hit_latency")
+        em.line("t_ = l2_.spec.hit_latency")
+        em.line("L2LAT = t_ if t_ > L1HIT else L1HIT")
+        em.line("t_ = sim.memory.dram_latency")
+        em.line("DRAML = t_ if t_ > L1HIT else L1HIT")
+        em.line("c_one = sim.memory.access_constant_sector")
         em.line("dbusy = sim.dispatch_busy_until")
         em.line("sc = sim._sc")
         em.line("push = heappush")
@@ -1176,21 +1213,14 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
             em.line(f"greedy = [-1] * {nsmsp}")
         else:
             em.line(f"rr = [0] * {nsmsp}")
-        for k in used_queues:
-            var, attr, _cap, _di, _thr = queue_info[k]
+        for var, attr, _cap, _di, _thr in queue_info.values():
             em.line(f"{var} = [q._completions for q in sim.{attr}]")
-        for u in used_units:
-            em.line(f"{unit_var(u)} = [0] * {nsmsp}")
         for v in ("rdy", "widx", "stall", "pcs", "its", "atbar",
                   "exitd", "drainf", "candf", "lastm", "epo", "pend",
-                  "smp_l", "blk_l"):
+                  "smp_l", "blk_l", "FETCH", "MEM"):
             em.line(f"{v} = []")
-        if has_rolls:
+        if rolls_on:
             em.line("HIC = []")
-        if has_fetch:
-            em.line("FETCH = []")
-        for j in range(len(plan.table_pcs)):
-            em.line(f"T{j} = []")
         em.line("block_live = {}")
         em.line("block_warps = {}")
         em.line("barrier_arrivals = {}")
@@ -1199,21 +1229,13 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
         em.line("spawn_pending = 0")
         em.line("n_blk = 0")
         em.line("n_wrp = 0")
-        em.line("h0 = h1 = h2 = h3 = 0")
-        if any_bra:
-            em.line("n_br = 0")
-        if any_div:
-            em.line("n_div = 0")
-        if any_bar:
-            em.line("n_bar = 0")
-        for ci in used_cls:
-            em.line(f"k{ci} = 0")
+        # the tables' LSU-slot and inline-probe access sums
+        em.line("ssum = 0")
+        em.line("asum = 0")
         em.line("skipped = 0")
         em.line("wake_events = 0")
-        if has_gl:
-            em.line("a1c = 0")
-            em.line("m1 = 0")
-            em.line("h2c = 0")
+        em.line("m1 = 0")
+        em.line("h2c = 0")
         # warp-occupancy integral by change points: ``warp_active``
         # accumulates live * elapsed at every live-count change (spawn
         # or retire), with ``wam`` marking the cycle the current live
@@ -1223,28 +1245,9 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
         em.line("wam = 0")
         em.line("cycle = 0")
         em.line()
-        n_mem = sum(1 for k in kinds if k in _MEM_KINDS)
-        n_nonmem = nbody - n_mem
-        sum_act = sum(active)
-        charge_names = ["h0", "h1", "h2"] + (["h3"] if n_mem else [])
-        charge_names += [
-            f"k{ci}" for ci in used_cls
-            if iters * sum(1 for inst in body
-                           if inst.opcode.op_class.idx == ci)
-            + (1 if ci == ctrl_idx else 0)
-        ]
-        if any_bra:
-            charge_names.append("n_br")
-        if any_div:
-            charge_names.append("n_div")
-        if any_bar:
-            charge_names.append("n_bar")
-        if has_gl:
-            charge_names.append("a1c")
         with em.blk("def spawn_block(cyc):"):
-            em.line("nonlocal next_block, live, n_blk, n_wrp")
+            em.line("nonlocal next_block, live, n_blk, n_wrp, ssum, asum")
             em.line("nonlocal warp_active, wam")
-            em.line(f"nonlocal {', '.join(charge_names)}")
             em.line("b = next_block")
             em.line("next_block = b + 1")
             em.line("block_live[b] = WPB")
@@ -1253,6 +1256,11 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
             em.line("block_warps[b] = bw")
             em.line("t_rolls, t_fetch, t_mem, t_ssum, t_asum = "
                     "block_tables(b)")
+            if rolls_on:
+                em.line("HIC.extend(t_rolls)")
+            with em.blk("if t_fetch is not None:"):
+                em.line("FETCH.extend(t_fetch)")
+            em.line("MEM.extend(t_mem)")
             em.line("bw0 = b * WPB")
             with em.blk("for w in range(WPB):"):
                 em.line("s = len(rdy)")
@@ -1269,57 +1277,13 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                 em.line("candf.append(False)")
                 em.line("lastm.append(0)")
                 em.line("epo.append(1)")
-                em.line(f"pend.append([0] * {nregs})")
+                em.line("pend.append([0] * ROW)")
                 em.line("smp_l.append(smp)")
                 em.line("blk_l.append(b)")
-                if has_rolls:
-                    em.line("HIC.append(t_rolls[w])")
-                if has_fetch:
-                    em.line("FETCH.append(t_fetch[w])")
-                for j in range(len(plan.table_pcs)):
-                    em.line(f"T{j}.append(t_mem[{j}][w])")
                 em.line("bw.append(s)")
                 em.line("push(wake[smp], (rc, s, 1))")
-            # counter pre-charge: the body is straight-line (masks, not
-            # control flow), so every warp issues every instruction
-            # exactly once per iteration plus one implicit EXIT.  The
-            # per-issue executed/selected increments fold into these
-            # per-block constants; t_ssum carries the data-dependent
-            # memory-slot sum from the tables.
-            # SELECTED counts successful issues — the implicit EXIT is
-            # executed (h0-h2/k charges) but never occupies an issue
-            # slot, so no +1 here.
-            em.line(f"sc[{SELI}] += WPB * {iters * nbody}")
-            em.line(f"h0 += t_ssum + WPB * {iters * n_nonmem + 1}")
-            em.line(f"h1 += WPB * {iters * nbody + 1}")
-            em.line(f"h2 += WPB * {iters * sum_act + 32}")
-            if n_mem:
-                em.line(f"h3 += t_ssum - WPB * {iters * n_mem}")
-            if has_gl:
-                # every inline-probed entry is consumed exactly once
-                # (straight-line body), so its L1 sector accesses are a
-                # block constant; hits are recovered in ``finally`` as
-                # accesses minus the misses the probes count.
-                em.line("a1c += t_asum")
-            for ci in used_cls:
-                cnt = sum(1 for inst in body
-                          if inst.opcode.op_class.idx == ci)
-                total_ci = iters * cnt + (1 if ci == ctrl_idx else 0)
-                if total_ci:
-                    em.line(f"k{ci} += WPB * {total_ci}")
-            if any_bra:
-                n_br_c = sum(1 for k in kinds if k == _BRA)
-                em.line(f"n_br += WPB * {iters * n_br_c}")
-            if any_div:
-                n_div_c = sum(
-                    1 for pc2 in range(nbody)
-                    if kinds[pc2] == _BRA and (
-                        0 < round(32 * body[pc2].branch.taken_fraction)
-                        < 32 or body[pc2].branch.else_length > 0))
-                em.line(f"n_div += WPB * {iters * n_div_c}")
-            if any_bar:
-                n_bar_c = sum(1 for k in kinds if k == _BAR)
-                em.line(f"n_bar += WPB * {iters * n_bar_c}")
+            em.line("ssum += t_ssum")
+            em.line("asum += t_asum")
             # new warps are occupancy-counted from ``cyc`` onward.
             em.line("warp_active += live * (cyc - wam)")
             em.line("wam = cyc")
@@ -1388,9 +1352,9 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                             em.line("break")
                         em.line("spawn_block(cycle)")
                     with em.blk("if cycle >= maxc:"):
-                        pref = f"kernel {program.name!r} exceeded "
-                        em.line(f"raise SimulationError({pref!r} + "
-                                "str(maxc) + \" simulated cycles\")")
+                        em.line("raise SimulationError(f\"kernel "
+                                "{plan.name!r} exceeded {maxc} "
+                                "simulated cycles\")")
                 em.line("cycle1 = cycle + 1")
                 em.line("next_ready = False")
                 with em.blk("for heap, pool, smp_i in smsps:"):
@@ -1437,7 +1401,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                     with em.blk("if exam:"):
                         em.line("new_ready = []")
                         em.line("nr_app = new_ready.append")
-                        # rebound before the issue phase: the legacy
+                        # rebound before the issue phase: the two-step
                         # tail appends through ready_l[smp_i], and the
                         # trailer reads it for next_ready.  The list
                         # is sorted at consumption, not production.
@@ -1465,12 +1429,7 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                                 em.line("retire(s, cycle, smp_i, s)")
                                 em.line("continue")
                             em.line("brdy = -1")
-                            if nbody > 1:
-                                em.line("p = pcs[s]")
-                                _emit_tree(em, list(range(nbody)),
-                                           emit_classify_leaf)
-                            else:
-                                emit_classify_leaf(0)
+                            emit_scan("SCAN[pcs[s]]", "cycle", "brdy", "bk")
                             with em.blk("if brdy < 0:"):
                                 em.line("candf[s] = True")
                                 em.line("insort(pool, s)")
@@ -1557,9 +1516,9 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                     em.line("cycle = cycle1")
                     em.line("continue")
                 with em.blk(f"if nxt >= {barw}:"):
-                    dmsg = (f"kernel {program.name!r}: all warps "
-                            "blocked at a barrier (deadlock)")
-                    em.line(f"raise SimulationError({dmsg!r})")
+                    em.line("raise SimulationError("
+                            "f\"kernel {plan.name!r}: all warps blocked "
+                            "at a barrier (deadlock)\")")
                 em.line("gap = nxt - cycle1")
                 with em.blk("if gap > 0:"):
                     # live is unchanged across the skipped span, so the
@@ -1570,33 +1529,31 @@ def generate_driver_source(program: KernelProgram, spec: "GPUSpec",
                     em.line("cycle = cycle1")
             em.line("sim.counters.cycles_elapsed = cycle")
         with em.blk("finally:"):
-            if has_gl:
-                # inline-probe statistics: hits are accesses minus
-                # misses (per-access accounting moved to the spawn
-                # charge), L2/DRAM traffic follows from the miss and
-                # L2-hit counts.
-                em.line("l1_.accesses += a1c")
-                em.line("l1_.hits += a1c - m1")
-                em.line("l2_.accesses += m1")
-                em.line("l2_.hits += h2c")
-                em.line("mh_ = sim.memory")
-                em.line("mh_.l2_accesses += m1")
-                em.line("mh_.dram_accesses += m1 - h2c")
+            # inline-probe statistics: hits are accesses minus misses
+            # (the access count comes from the tables), L2/DRAM traffic
+            # follows from the miss and L2-hit counts.
+            em.line("l1_.accesses += asum")
+            em.line("l1_.hits += asum - m1")
+            em.line("l2_.accesses += m1")
+            em.line("l2_.hits += h2c")
+            em.line("mh_ = sim.memory")
+            em.line("mh_.l2_accesses += m1")
+            em.line("mh_.dram_accesses += m1 - h2c")
+            # the executed/selected counters every spawned warp owes
+            # (the plan's per-warp charges; see _Plan).
+            em.line(f"sc[{SELI}] += n_wrp * plan.selected")
             em.line("cls_ = sim._cls")
-            for ci in used_cls:
-                em.line(f"cls_[{ci}] += k{ci}")
+            with em.blk("for ci_, n_ in plan.classes:"):
+                em.line("cls_[ci_] += n_wrp * n_")
             em.line("hot = sim._hot")
-            em.line("hot[0] += h0")
-            em.line("hot[1] += h1")
-            em.line("hot[2] += h2")
-            em.line("hot[3] += h3")
+            em.line("hot[0] += ssum + n_wrp * plan.h0")
+            em.line("hot[1] += n_wrp * plan.h1")
+            em.line("hot[2] += n_wrp * plan.h2")
+            em.line("hot[3] += ssum - n_wrp * plan.h3")
             em.line("c_ = sim.counters")
-            if any_bra:
-                em.line("c_.branches_executed += n_br")
-            if any_div:
-                em.line("c_.divergent_branches += n_div")
-            if any_bar:
-                em.line("c_.barriers_executed += n_bar")
+            em.line("c_.branches_executed += n_wrp * plan.branches")
+            em.line("c_.divergent_branches += n_wrp * plan.divergent")
+            em.line("c_.barriers_executed += n_wrp * plan.barriers")
             em.line("c_.blocks_launched += n_blk")
             em.line("c_.warps_launched += n_wrp")
             # ``cycle`` IS the active-cycle count at any settle point,

@@ -591,8 +591,8 @@ class TestCacheCrashConsistency:
     def test_failed_write_leaves_no_temp_file(self, tmp_path, turing,
                                               monkeypatch):
         """A write that fails part way (disk full) is no crash: its temp
-        file goes too, since no glob of the store would ever count or
-        evict it."""
+        file goes too, since its writer is alive and no reopen would
+        reclaim it."""
         import errno
         from pathlib import Path
 
@@ -614,6 +614,7 @@ class TestCacheCrashConsistency:
         assert engine.health.cache_write_failures == 1
         key = sim_fingerprint(prog, LAUNCH, turing, DEFAULT_CONFIG)
         assert list(engine.cache.path_for(key).parent.iterdir()) == []
+        assert list(tmp_path.glob("*.tmp.*")) == []
 
     def test_concurrent_stores_of_one_key_both_land(self, tmp_path, turing):
         # the daemon's worker threads share one store: two jobs that
@@ -650,31 +651,36 @@ class TestCacheCrashConsistency:
         assert cache.total_bytes == size
         assert EvictingResultCache(tmp_path).total_bytes == size
 
+    @pytest.mark.parametrize("store_cls",
+                             [SimResultCache, EvictingResultCache])
     def test_reopen_removes_a_dead_writers_temp_files(self, tmp_path,
-                                                      turing):
+                                                      turing, store_cls):
         """A writer killed between its temp write and the rename leaves
-        a temp no glob of the store counts or evicts.  Reopening the
-        store removes it once that writer's process is gone, and keeps
-        a live writer's (CLI runs may share the store)."""
+        a temp in the store root that no glob of the store counts or
+        evicts.  Reopening either store removes it once that writer's
+        process is gone, and keeps a live writer's (CLI runs may share
+        the store)."""
         import subprocess
         import sys
 
         prog = _kernel("cachedead")
-        cache = EvictingResultCache(tmp_path)
+        cache = store_cls(tmp_path)
         key = sim_fingerprint(prog, LAUNCH, turing, DEFAULT_CONFIG)
         cache.store(key, self._result(turing, prog))
         shard = cache.path_for(key)
         child = subprocess.Popen([sys.executable, "-c", "pass"])
         assert child.wait(timeout=60) == 0
-        dead = [shard.with_suffix(f".tmp.{child.pid}.1"),
+        dead = [tmp_path / f"{key}.tmp.{child.pid}.1",
                 tmp_path / f"index.json.tmp.{child.pid}.1"]
-        live = shard.with_suffix(f".tmp.{os.getpid()}.1")
+        live = tmp_path / f"{key}.tmp.{os.getpid()}.1"
         for temp in (*dead, live):
             temp.write_text("x" * 1000)
-        reopened = EvictingResultCache(tmp_path)
+        reopened = store_cls(tmp_path)
         assert [temp.exists() for temp in dead] == [False, False]
         assert live.exists()
-        assert reopened.total_bytes == shard.stat().st_size
+        assert len(reopened) == 1
+        if store_cls is EvictingResultCache:
+            assert reopened.total_bytes == shard.stat().st_size
 
 
 # ---------------------------------------------------------------------------

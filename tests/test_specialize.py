@@ -10,10 +10,11 @@ file pins the *correctness* half of the contract:
   bit for bit;
 * declined programs run on the reference scan transparently, with
   the fallback visible in observability;
-* the in-process driver cache behaves: hits/misses counted, reuse
-  bit-identical, nothing written to disk, compiled code kept and
-  sources not; a run's tables do not outlive it, and reference
-  counting alone frees a run;
+* the in-process driver cache behaves: one driver per machine shape,
+  shared by every program on it without state leaking from one run to
+  the next, hits/misses counted, nothing written to disk, compiled
+  code kept and sources not; a run's tables do not outlive it, and
+  reference counting alone frees a run;
 * the backend selection is threaded through the engine/CLI plumbing,
   and an engine that only opens a store loads neither the specializer
   nor numpy.
@@ -180,32 +181,63 @@ def test_shared_l2_serial_path_matches_reference():
     assert docs[0] == docs[1]
 
 
-def test_shared_code_is_emitted_once_per_driver():
-    """What every pc shares is emitted once per driver: one hiccup check
-    before the issue tree and one fast-tail park after it, so a leaf
-    holds only its issue body, pc advance and next scoreboard scan.
-    Checked on the source of every distinct rodinia and altis driver on
-    both paper GPUs (generated, not compiled)."""
+def test_one_driver_per_machine_shape():
+    """Drivers are keyed by machine shape, not program: every distinct
+    rodinia and altis program on both paper GPUs runs on one driver per
+    GPU, whose source emits the hiccup check and the fast-tail park
+    once and stays small."""
     from repro.lint import bundled_suites
 
     suites = bundled_suites()
     config = SimConfig(seed=0)
-    programs = {}
-    for gpu in ("gtx1070", "rtx4000"):
-        spec = get_gpu(gpu)
-        for name in ("rodinia", "altis"):
-            for app in suites[name].applications:
-                for inv in app.invocations:
-                    key = specialization_key(inv.program, spec, config)
-                    programs.setdefault(key, (inv.program, spec))
-    lines = body = 0
-    for program, spec in programs.values():
-        source = generate_driver_source(program, spec, config)
-        assert source.count(" in HIC[s]:") == 1, program.name
-        assert source.count("+= prdy - rc") == 1, program.name
-        lines += source.count("\n")
-        body += len(program.body)
-    assert lines / body <= 95, f"{lines / body:.1f} lines per instruction"
+    clear_driver_cache()
+    try:
+        sources = {}
+        for gpu in ("gtx1070", "rtx4000"):
+            spec = get_gpu(gpu)
+            for name in ("rodinia", "altis"):
+                for app in suites[name].applications:
+                    for inv in app.invocations:
+                        driver = driver_for(inv.program, spec, config)
+                        assert not isinstance(driver, str), driver
+                        if driver.source is not None:
+                            sources[gpu] = driver.source
+        assert len(_DRIVER_CACHE) == 2
+        assert sorted(_DRIVER_CACHE) == sorted(
+            specialization_key(get_gpu(gpu), config)
+            for gpu in ("gtx1070", "rtx4000")
+        )
+        assert sorted(sources) == ["gtx1070", "rtx4000"]
+        for gpu, source in sources.items():
+            assert source.count(" in HIC[s]:") == 1, gpu
+            assert source.count("+= prdy - rc") == 1, gpu
+            assert source.count("\n") <= 1500, gpu
+    finally:
+        clear_driver_cache()
+
+
+def test_shared_driver_runs_each_program_bit_identically():
+    """One shared driver runs program A, then B, then A again: every run
+    equals the reference scan, so no state leaks from one program's run
+    into the next through the driver."""
+    config = SimConfig(seed=3)
+    launch = LaunchConfig(blocks=5, threads_per_block=128)
+    clear_driver_cache()
+    try:
+        driver_for(_constant_kernel(), SPEC, config)  # warm the cache
+        for make in (_barrier_drain_kernel, _divergence_kernel,
+                     _barrier_drain_kernel):
+            program = make()
+            driver = driver_for(program, SPEC, config)
+            assert driver is next(iter(_DRIVER_CACHE.values()))
+            spz = _run(SMSimulator, program, launch, config,
+                       blocks_assigned=5)
+            ref = _run(ReferenceSMSimulator, program, launch, config,
+                       blocks_assigned=5)
+            _assert_identical(spz, ref, program.name)
+        assert len(_DRIVER_CACHE) == 1
+    finally:
+        clear_driver_cache()
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +286,9 @@ def test_declined_program_falls_back_bit_identical():
         counters = sim.run()
         assert sim.counters is counters
         assert obs.metrics.counter("sim.specialize_fallbacks") == 1
+        # a declined program is neither a driver-cache hit nor a miss.
+        assert obs.metrics.counter("sim.specialize_hits") == 0
+        assert obs.metrics.counter("sim.specialize_misses") == 0
     ref = _run(ReferenceSMSimulator, program, launch, config)
     assert counters_to_doc(counters) == counters_to_doc(ref)
     counters.validate()
@@ -263,15 +298,15 @@ def test_declined_program_falls_back_bit_identical():
 # driver cache: metrics, persistence, table reuse
 # ----------------------------------------------------------------------
 def test_driver_cache_hit_miss_metrics():
-    program = _constant_kernel()
+    """Two programs on one spec share its driver: one miss, one hit."""
     config = SimConfig(seed=0)
     clear_driver_cache()
     try:
         with obs_context(enabled=True) as obs:
-            d1 = driver_for(program, SPEC, config)
-            d2 = driver_for(program, SPEC, config)
-            assert d1.fn is d2.fn and d1.plan is d2.plan
-            assert d2.source is None
+            d1 = driver_for(_constant_kernel(), SPEC, config)
+            d2 = driver_for(_divergence_kernel(), SPEC, config)
+            assert d1.fn is d2.fn
+            assert d1.source is not None and d2.source is None
             assert obs.metrics.counter("sim.specialize_misses") == 1
             assert obs.metrics.counter("sim.specialize_hits") == 1
     finally:
@@ -280,13 +315,13 @@ def test_driver_cache_hit_miss_metrics():
 
 def test_driver_cache_keeps_compiled_code_only():
     """Only the call that builds a driver gets its source; the cache
-    keeps the function and plan, and dropping it frees them at once."""
+    keeps the function, and dropping it frees it at once."""
     program = _divergence_kernel()
     config = SimConfig(seed=0)
     clear_driver_cache()
     try:
         built = driver_for(program, SPEC, config)
-        assert built.source == generate_driver_source(program, SPEC, config)
+        assert built.source == generate_driver_source(SPEC, config)
         cached = [d for d in _DRIVER_CACHE.values() if not isinstance(d, str)]
         assert cached and all(d.source is None for d in cached)
         del built, cached
