@@ -2,7 +2,7 @@
 
 Times the three ``test_bench_simulator.py`` kernel shapes through both
 cycle-loop implementations — the frozen seed scan
-(``repro.sim.sm_reference``) and the per-program compiled driver behind
+(``repro.sim.sm_reference``) and the table-driven loop behind
 ``repro.sim.sm.SMSimulator`` (``repro.sim.specialize``) — and records
 the measurement as one entry of the ``BENCH_SIMCORE.json``
 *trajectory*.

@@ -5,9 +5,10 @@ bit-identical :class:`~repro.sim.counters.EventCounters` (pinned by
 ``tests/test_sim_equivalence.py`` and the golden fixture):
 
 * ``specialized`` — :class:`~repro.sim.sm.SMSimulator`, whose loop is
-  a driver compiled per GPU shape that reads the program as per-pc
-  tables (:mod:`repro.sim.specialize`); the default.  Programs the
-  specializer declines run on the reference scan transparently.
+  one hand-written function that reads the GPU's numbers into locals
+  and the program as per-pc tables (:mod:`repro.sim.specialize`); the
+  default.  Programs the loop declines run on the reference scan
+  transparently.
 * ``reference``   — the frozen seed per-cycle scan
   (:class:`~repro.sim.sm_reference.ReferenceSMSimulator`), kept as a
   behavioural oracle.

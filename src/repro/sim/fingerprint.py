@@ -21,7 +21,7 @@ error rather than a silently unstable ``repr``.
 
 Encoding an input is most of a key's cost, and the same long-lived
 program/launch/spec/config objects are keyed over and over (once per
-replay pass, engine lookup and driver lookup).  So the canonical JSON
+replay pass and engine lookup).  So the canonical JSON
 fragment of each of those four frozen input types is computed once
 per *object* and kept in an identity memo; the payload is the same
 bytes ``json.dumps`` would produce for the whole tuple, so keys do not

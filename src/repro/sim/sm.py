@@ -12,15 +12,14 @@ metrics rely on (``Σ state_cycles == warp_active_cycles``).
 
 :class:`SMSimulator` holds the per-SM set-up — memory hierarchy,
 address generators, LSU/MIO/TEX queues, occupancy, rate and seed
-scalars, and the counters — and :meth:`SMSimulator.run` hands the
-cycle loop to the driver compiled for this GPU shape, which reads the
-program as per-pc tables built for the run
-(:mod:`repro.sim.specialize`).  The frozen per-cycle scan
-(``sm_reference.ReferenceSMSimulator``) is the behavioural oracle the
-driver is **bit-identical** to, pinned by
+scalars, and the counters — and :meth:`SMSimulator.run` hands it to
+the cycle loop of :mod:`repro.sim.specialize`, one function that
+reads the program as per-pc tables built for the run.  The frozen
+per-cycle scan (``sm_reference.ReferenceSMSimulator``) is the
+behavioural oracle the loop is **bit-identical** to, pinned by
 ``tests/test_sim_equivalence.py`` and the golden fixture
 ``tests/data/golden_sim_counters.json``; it also runs the rare
-programs the specializer declines.
+programs the loop declines.
 """
 
 from __future__ import annotations
@@ -97,13 +96,13 @@ class SMSimulator:
         ]
         self.dispatch_busy_until = [0] * n_smsp
 
-        # the driver's accumulators: plain lists indexed by the enums'
+        # the loop's accumulators: plain lists indexed by the enums'
         # int ``idx`` (no enum __hash__ per increment), folded back into
         # the enum-keyed EventCounters dicts when run() finishes.
         self._sc = [0] * len(ALL_STATES)
         self._cls = [0] * len(ALL_OP_CLASSES)
         self._hot = [0, 0, 0, 0]  # issued, executed, thread_exec, replay
-        # scalars the driver's per-warp roll and memory tables read:
+        # scalars the loop's per-warp roll and memory tables read:
         # hash_u64(seed, warp_id) == mix64(_seed_acc ^ warp_id).
         self._seed_acc = hash_u64(config.seed)
         self._bank_rate = config.bank_conflict_rate
@@ -133,10 +132,9 @@ class SMSimulator:
     def run(self) -> EventCounters:
         """Simulate until every assigned block completes; return events.
 
-        The cycle loop is the compiled driver of this GPU shape
-        (:func:`repro.sim.specialize.driver_for`), shared by every
-        program run on it.  A program the specializer declines runs on
-        the reference scan instead, counted in
+        :func:`repro.sim.specialize.driver_for` returns the cycle loop,
+        or the reason it declines the program; a declined program runs
+        on the reference scan instead, counted in
         ``sim.specialize_fallbacks``.
         """
         c = self.counters
@@ -144,11 +142,11 @@ class SMSimulator:
             return c
         from repro.sim.specialize import driver_for
 
-        driver = driver_for(self.program, self.spec, self.config)
-        if isinstance(driver, str):
-            return self._run_reference(driver)
+        loop = driver_for(self.program, self.spec, self.config)
+        if isinstance(loop, str):
+            return self._run_reference(loop)
         try:
-            driver.drive(self)
+            loop(self)
         finally:
             # fold the list-indexed accumulators into the enum-keyed
             # counter dicts, also when the loop raises (deadlock /

@@ -5,7 +5,7 @@ full scan*: every cycle, every resident warp is examined and charged
 exactly one :class:`~repro.sim.stall_reasons.WarpState`, with a
 fast-forward only when *no* sub-partition has an issue candidate.
 
-It is the behavioural oracle of the compiled driver behind
+It is the behavioural oracle of the cycle loop behind
 :meth:`~repro.sim.sm.SMSimulator.run`:
 
 * ``tests/test_sim_equivalence.py`` runs randomized and directed
@@ -15,7 +15,7 @@ It is the behavioural oracle of the compiled driver behind
   timings in ``BENCH_SIMCORE.json``.
 
 It is also the simulator of record wherever one issue at a time must
-be observable: programs the specializer declines, the issue tracer
+be observable: programs the cycle loop declines, the issue tracer
 (:mod:`repro.sim.trace`) and the sanitizer's
 ``SanitizingSimulator`` all run here, hooking ``_attempt_issue`` and
 ``_release_barrier``.

@@ -66,7 +66,7 @@ class TestCacheSpec:
             CacheSpec("bad", size_bytes=4096, line_bytes=100,
                       sector_bytes=32, ways=1)
 
-    # the compiled driver relies on an issued warp never being ready
+    # the cycle loop relies on an issued warp never being ready
     # before the next cycle, so every latency is at least one.
     @pytest.mark.parametrize("field", ["hit_latency", "miss_latency"])
     def test_latency_below_one_rejected(self, field):

@@ -32,11 +32,7 @@ from repro.sim import (
 )
 from repro.sim.fingerprint import FINGERPRINT_SCHEMA, canonicalize
 from repro.sim.result_cache import RESULT_SCHEMA
-from repro.sim.specialize import (
-    clear_driver_cache,
-    driver_for,
-    specialization_key,
-)
+from repro.sim.specialize import driver_for
 
 from tests.conftest import build_stream_kernel
 
@@ -124,23 +120,6 @@ class TestKeysUnchanged:
             for _ in range(2):
                 assert sim_fingerprint(*parts) == _seed_formula(*parts), \
                     inv.name
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("gpu", PAPER_GPUS)
-    def test_specialization_key_equals_seed_formula(self, gpu, seed):
-        """A driver key is the machine shape: the program is not part
-        of it."""
-        spec = get_gpu(gpu)
-        for config in (SimConfig(seed=seed), SimConfig(
-                seed=seed, scheduler="gto", bank_conflict_rate=0.0)):
-            expected = _seed_formula(
-                spec, config.scheduler,
-                config.bank_conflict_rate > 0.0,
-                config.dispatch_stall_rate > 0.0,
-            )
-            # twice: the first call fills the memo, the second reads it.
-            for _ in range(2):
-                assert specialization_key(spec, config) == expected
 
     def test_memo_entry_dies_with_its_program(self, turing):
         prog = _kernel("short_lived")
@@ -329,20 +308,14 @@ class TestPersistentCache:
     def test_store_backed_run_writes_only_result_shards(
         self, turing, tmp_path
     ):
-        """Compiling a driver leaves nothing next to the store: the
-        cache directory holds result shards and nothing else."""
+        """A run on the cycle loop leaves nothing next to the store:
+        the cache directory holds result shards and nothing else."""
         prog = build_stream_kernel("shards_only")
-        clear_driver_cache()
-        try:
-            with engine_context(jobs=1, cache_dir=tmp_path) as engine:
-                engine.simulate(turing, prog, LAUNCH, DEFAULT_CONFIG)
-                assert engine.cache.stats.stores == 1
-            # the run compiled a driver (so there was source to persist).
-            assert not isinstance(
-                driver_for(prog, turing, DEFAULT_CONFIG), str
-            )
-        finally:
-            clear_driver_cache()
+        with engine_context(jobs=1, cache_dir=tmp_path) as engine:
+            engine.simulate(turing, prog, LAUNCH, DEFAULT_CONFIG)
+            assert engine.cache.stats.stores == 1
+        # the loop ran the program: it was not declined.
+        assert not isinstance(driver_for(prog, turing, DEFAULT_CONFIG), str)
         key = sim_fingerprint(prog, LAUNCH, turing, DEFAULT_CONFIG)
         assert sorted(
             p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")

@@ -179,23 +179,18 @@ class TestExecution:
 
     def test_cold_job_leaves_only_shards_within_the_cap(self, tmp_path):
         """Under the daemon's engine (``cache=manager.store``, as
-        ``run_serve`` installs it) a cold job compiles drivers, yet the
-        store holds result shards and ``index.json`` only — nothing
-        outside the byte cap's accounting."""
+        ``run_serve`` installs it) a cold job simulates, yet the store
+        holds result shards and ``index.json`` only — nothing outside
+        the byte cap's accounting."""
         from repro.sim.engine import engine_context
-        from repro.sim.specialize import clear_driver_cache
 
         cap = 8_000
         manager = _manager(tmp_path, store_max_bytes=cap)
-        clear_driver_cache()
-        try:
-            with engine_context(jobs=1, cache=manager.store):
-                manager.start()
-                record, _ = manager.submit(NN_JOB)
-                assert manager.wait_idle(timeout_s=60)
-                assert manager.drain(timeout_s=10)
-        finally:
-            clear_driver_cache()
+        with engine_context(jobs=1, cache=manager.store):
+            manager.start()
+            record, _ = manager.submit(NN_JOB)
+            assert manager.wait_idle(timeout_s=60)
+            assert manager.drain(timeout_s=10)
         assert record.state == "done"
         root = tmp_path / "state" / "store"
         files = [p for p in root.rglob("*") if p.is_file()]

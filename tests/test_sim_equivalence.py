@@ -1,7 +1,7 @@
-"""Bit-identity proof for the compiled SM cycle loop.
+"""Bit-identity proof for the SM cycle loop.
 
 Three layers of evidence that :meth:`repro.sim.sm.SMSimulator.run` —
-the per-program driver of :mod:`repro.sim.specialize` — is
+the cycle loop of :mod:`repro.sim.specialize` — is
 counter-for-counter identical to the per-cycle scan it replaced:
 
 1. a golden fixture (``tests/data/golden_sim_counters.json``) produced
@@ -12,8 +12,12 @@ counter-for-counter identical to the per-cycle scan it replaced:
    the scan *and* the seed memory-model/address-gen/scoreboard helpers;
 3. directed cases for the semantics the restructuring had to preserve:
    barrier release, EXIT drain, divergence, wide strides, constant
-   reads, both schedulers, and the
-   ``Σ state_cycles == warp_active_cycles`` invariant.
+   reads, and the ``Σ state_cycles == warp_active_cycles`` invariant.
+
+Layers 2 and 3 run every shape switch the loop tests at run time:
+both paper GPUs (one dispatch unit per sub-partition on the RTX 4000,
+two on the GTX 1070), both schedulers, and hiccups on, off, or of one
+kind only.
 """
 
 from __future__ import annotations
@@ -39,9 +43,14 @@ from repro.sim import DEFAULT_BACKEND, SimConfig
 from repro.sim.counters import EventCounters
 from repro.sim.sm import SMSimulator
 from repro.sim.sm_reference import ReferenceSMSimulator
+from repro.sim.specialize import check_supported
+
 from tests.test_property_sim import small_programs
 
 GPUS = ("gtx1070", "rtx4000")
+#: (bank conflict, dispatch hiccup) rates: the default mix and none.
+DEFAULT_RATES = (0.02, 0.01)
+NO_HICCUPS = (0.0, 0.0)
 GOLDEN_PATH = (
     Path(__file__).resolve().parent / "data" / "golden_sim_counters.json"
 )
@@ -63,7 +72,6 @@ def _assert_identical(live: EventCounters, ref: EventCounters,
 @pytest.mark.parametrize("gpu", GPUS)
 def test_golden_counters_all_suites(gpu, backend):
     from repro.sim.backend import simulator_class
-    from repro.sim.specialize import check_supported
 
     sim_cls = simulator_class(backend)
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -110,20 +118,30 @@ def test_golden_counters_all_suites(gpu, backend):
     # the GTX 1070's two dispatch units per sub-partition take the
     # counted-budget issue path; the RTX 4000 has one.
     gpu=st.sampled_from(GPUS),
+    # (bank conflict, dispatch hiccup) rates: the default mix, one kind
+    # of hiccup only, and none (empty hiccup tables).
+    rates=st.sampled_from([DEFAULT_RATES, (0.3, 0.0), (0.0, 0.3),
+                           NO_HICCUPS]),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 def test_random_kernels_match_reference(program, blocks, tpb, scheduler,
-                                        seed, gpu):
+                                        seed, gpu, rates):
     spec = get_gpu(gpu)
     launch = LaunchConfig(blocks=blocks, threads_per_block=tpb)
-    config = SimConfig(seed=seed, scheduler=scheduler)
+    config = SimConfig(seed=seed, scheduler=scheduler,
+                       bank_conflict_rate=rates[0],
+                       dispatch_stall_rate=rates[1])
+    # every generated shape must be *accepted*: a silent fallback here
+    # would make the equivalence claim vacuous.
+    assert check_supported(program, spec, config) is None
     live = SMSimulator(
         spec, program, launch, config, blocks_assigned=blocks
     ).run()
     ref = ReferenceSMSimulator(
         spec, program, launch, config, blocks_assigned=blocks
     ).run()
-    _assert_identical(live, ref, f"{gpu}/{program.name}/{scheduler}")
+    _assert_identical(live, ref,
+                      f"{gpu}/{program.name}/{scheduler}/{rates}")
     live.validate()  # includes Σ state_cycles == warp_active_cycles
 
 
@@ -194,9 +212,18 @@ DIRECTED = {
 def test_directed_cases_match_reference(gpu, kernel, scheduler):
     spec = get_gpu(gpu)
     program = DIRECTED[kernel]()
-    for blocks, tpb in ((3, 128), (9, 256)):
+    cases = [
+        (rates, seed, blocks, tpb)
+        for rates in (DEFAULT_RATES, NO_HICCUPS)
+        for seed in (0, 7)
+        for blocks, tpb in ((3, 128), (9, 256), (1, 32))
+    ]
+    for rates, seed, blocks, tpb in cases:
         launch = LaunchConfig(blocks=blocks, threads_per_block=tpb)
-        config = SimConfig(seed=7, scheduler=scheduler)
+        config = SimConfig(seed=seed, scheduler=scheduler,
+                           bank_conflict_rate=rates[0],
+                           dispatch_stall_rate=rates[1])
+        assert check_supported(program, spec, config) is None
         live = SMSimulator(
             spec, program, launch, config, blocks_assigned=blocks
         ).run()
@@ -204,7 +231,8 @@ def test_directed_cases_match_reference(gpu, kernel, scheduler):
             spec, program, launch, config, blocks_assigned=blocks
         ).run()
         _assert_identical(
-            live, ref, f"{gpu}/{kernel}/{scheduler}/{blocks}x{tpb}"
+            live, ref,
+            f"{gpu}/{kernel}/{scheduler}/{rates}/s{seed}/{blocks}x{tpb}"
         )
         live.validate()
 
@@ -220,7 +248,7 @@ def test_loop_statistics_cover_every_active_cycle():
     assert sim._processed_cycles + sim._skipped_cycles == (
         counters.cycles_active
     )
-    # the driver's run of a memory-heavy kernel must actually skip
+    # the loop's run of a memory-heavy kernel must actually skip
     # cycles — otherwise the wake queues are not doing their job.
     assert sim._skipped_cycles > 0
     assert sim._wake_events > 0

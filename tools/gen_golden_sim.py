@@ -6,17 +6,17 @@ writes the merged per-application counters to
 ``tests/data/golden_sim_counters.json``.
 
 The committed fixture was produced by the seed revision's per-cycle
-scan; ``tests/test_sim_equivalence.py`` asserts the compiled driver
+scan; ``tests/test_sim_equivalence.py`` asserts the cycle loop
 still reproduces it bit for bit.  Regenerate only when the simulated
 *semantics* change deliberately — that is a counter-breaking change
 and must also retire every persistent result cache (see
 docs/PERFORMANCE.md).
 
 ``--backend`` selects the cycle-loop implementation (``specialized``,
-the compiled driver, by default; ``reference``, the frozen seed scan,
+the table-driven loop, by default; ``reference``, the frozen seed scan,
 takes a few minutes).  Since both backends are bit-identical,
 regenerating under either must produce a byte-identical file — CI
-exploits that as an end-to-end equivalence check of the driver *and*
+exploits that as an end-to-end equivalence check of the loop *and*
 the oracle.
 
 Usage::
