@@ -14,10 +14,12 @@ counter-for-counter identical to the per-cycle scan it replaced:
    barrier release, EXIT drain, divergence, wide strides, constant
    reads, and the ``Σ state_cycles == warp_active_cycles`` invariant.
 
-Layers 2 and 3 run every shape switch the loop tests at run time:
-both paper GPUs (one dispatch unit per sub-partition on the RTX 4000,
-two on the GTX 1070), both schedulers, and hiccups on, off, or of one
-kind only.
+Layers 2 and 3 run both paper GPUs (one dispatch unit per
+sub-partition on the RTX 4000, two on the GTX 1070) and both
+schedulers, at the default hiccup rates the paper's numbers come from.
+``tests/test_specialize.py`` runs the same cases with hiccups off or of
+one kind only, through :func:`assert_directed_matches_reference` and
+:func:`assert_loop_matches_reference`.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ from repro.sim.specialize import check_supported
 from tests.test_property_sim import small_programs
 
 GPUS = ("gtx1070", "rtx4000")
-#: (bank conflict, dispatch hiccup) rates: the default mix and none.
+#: (bank conflict, dispatch hiccup) rates: the default mix.
 DEFAULT_RATES = (0.02, 0.01)
-NO_HICCUPS = (0.0, 0.0)
+#: (blocks, threads per block) of every directed case.
+LAUNCHES = ((3, 128), (9, 256), (1, 32))
 GOLDEN_PATH = (
     Path(__file__).resolve().parent / "data" / "golden_sim_counters.json"
 )
@@ -61,6 +64,22 @@ def _assert_identical(live: EventCounters, ref: EventCounters,
     if counters_to_doc(live) != counters_to_doc(ref):
         detail = "\n".join(live.diff(ref)) or "(doc-level difference)"
         pytest.fail(f"{label}: driver diverged from reference\n{detail}")
+
+
+def assert_loop_matches_reference(spec, program, launch: LaunchConfig,
+                                  config: SimConfig, label: str) -> None:
+    """The cycle loop accepts ``program`` and counts exactly what the
+    frozen seed scan counts."""
+    # a silent fallback here would make the equivalence claim vacuous.
+    assert check_supported(program, spec, config) is None
+    live = SMSimulator(
+        spec, program, launch, config, blocks_assigned=launch.blocks
+    ).run()
+    ref = ReferenceSMSimulator(
+        spec, program, launch, config, blocks_assigned=launch.blocks
+    ).run()
+    _assert_identical(live, ref, label)
+    live.validate()  # includes Σ state_cycles == warp_active_cycles
 
 
 # ----------------------------------------------------------------------
@@ -118,31 +137,16 @@ def test_golden_counters_all_suites(gpu, backend):
     # the GTX 1070's two dispatch units per sub-partition take the
     # counted-budget issue path; the RTX 4000 has one.
     gpu=st.sampled_from(GPUS),
-    # (bank conflict, dispatch hiccup) rates: the default mix, one kind
-    # of hiccup only, and none (empty hiccup tables).
-    rates=st.sampled_from([DEFAULT_RATES, (0.3, 0.0), (0.0, 0.3),
-                           NO_HICCUPS]),
 )
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=25, deadline=None)
 def test_random_kernels_match_reference(program, blocks, tpb, scheduler,
-                                        seed, gpu, rates):
-    spec = get_gpu(gpu)
-    launch = LaunchConfig(blocks=blocks, threads_per_block=tpb)
-    config = SimConfig(seed=seed, scheduler=scheduler,
-                       bank_conflict_rate=rates[0],
-                       dispatch_stall_rate=rates[1])
-    # every generated shape must be *accepted*: a silent fallback here
-    # would make the equivalence claim vacuous.
-    assert check_supported(program, spec, config) is None
-    live = SMSimulator(
-        spec, program, launch, config, blocks_assigned=blocks
-    ).run()
-    ref = ReferenceSMSimulator(
-        spec, program, launch, config, blocks_assigned=blocks
-    ).run()
-    _assert_identical(live, ref,
-                      f"{gpu}/{program.name}/{scheduler}/{rates}")
-    live.validate()  # includes Σ state_cycles == warp_active_cycles
+                                        seed, gpu):
+    assert_loop_matches_reference(
+        get_gpu(gpu), program,
+        LaunchConfig(blocks=blocks, threads_per_block=tpb),
+        SimConfig(seed=seed, scheduler=scheduler),
+        f"{gpu}/{program.name}/{scheduler}",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -206,35 +210,30 @@ DIRECTED = {
 }
 
 
+def assert_directed_matches_reference(gpu: str, kernel: str,
+                                      scheduler: str,
+                                      rates: tuple[float, float]) -> None:
+    """One directed kernel, at seeds 0 and 7 and every launch of
+    :data:`LAUNCHES`, under the given hiccup rates."""
+    spec = get_gpu(gpu)
+    program = DIRECTED[kernel]()
+    for seed in (0, 7):
+        for blocks, tpb in LAUNCHES:
+            config = SimConfig(seed=seed, scheduler=scheduler,
+                               bank_conflict_rate=rates[0],
+                               dispatch_stall_rate=rates[1])
+            assert_loop_matches_reference(
+                spec, program,
+                LaunchConfig(blocks=blocks, threads_per_block=tpb), config,
+                f"{gpu}/{kernel}/{scheduler}/{rates}/s{seed}/{blocks}x{tpb}",
+            )
+
+
 @pytest.mark.parametrize("gpu", GPUS)
 @pytest.mark.parametrize("kernel", sorted(DIRECTED))
 @pytest.mark.parametrize("scheduler", ["gto", "lrr"])
 def test_directed_cases_match_reference(gpu, kernel, scheduler):
-    spec = get_gpu(gpu)
-    program = DIRECTED[kernel]()
-    cases = [
-        (rates, seed, blocks, tpb)
-        for rates in (DEFAULT_RATES, NO_HICCUPS)
-        for seed in (0, 7)
-        for blocks, tpb in ((3, 128), (9, 256), (1, 32))
-    ]
-    for rates, seed, blocks, tpb in cases:
-        launch = LaunchConfig(blocks=blocks, threads_per_block=tpb)
-        config = SimConfig(seed=seed, scheduler=scheduler,
-                           bank_conflict_rate=rates[0],
-                           dispatch_stall_rate=rates[1])
-        assert check_supported(program, spec, config) is None
-        live = SMSimulator(
-            spec, program, launch, config, blocks_assigned=blocks
-        ).run()
-        ref = ReferenceSMSimulator(
-            spec, program, launch, config, blocks_assigned=blocks
-        ).run()
-        _assert_identical(
-            live, ref,
-            f"{gpu}/{kernel}/{scheduler}/{rates}/s{seed}/{blocks}x{tpb}"
-        )
-        live.validate()
+    assert_directed_matches_reference(gpu, kernel, scheduler, DEFAULT_RATES)
 
 
 def test_loop_statistics_cover_every_active_cycle():

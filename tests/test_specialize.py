@@ -1,12 +1,14 @@
 """The specialized backend: its cycle loop, fallback and plumbing.
 
 The perf claim lives in ``benchmarks/test_bench_simcore.py`` and the
-bit-identity matrix (every shape switch the loop tests at run time) in
+bit-identity matrix at the default hiccup rates in
 ``tests/test_sim_equivalence.py``; this file pins the rest of the
 contract:
 
-* the shared-L2 serial path and one loop running different programs
-  back to back stay bit-identical to the reference scan;
+* the same directed and randomized kernels, with hiccups off or of one
+  kind only, stay bit-identical to the reference scan, as do the
+  shared-L2 serial path and one loop running different programs back
+  to back;
 * the numpy-vectorized roll tables match the scalar SplitMix64 path
   bit for bit;
 * declined programs run on the reference scan transparently, with
@@ -28,6 +30,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import get_gpu
 from repro.errors import SimulationError, UsageError
@@ -55,7 +59,13 @@ from repro.sim.specialize import (
 )
 from repro.workloads import rodinia
 
-from tests.test_sim_equivalence import DIRECTED
+from tests.test_property_sim import small_programs
+from tests.test_sim_equivalence import (
+    DIRECTED,
+    GPUS,
+    assert_directed_matches_reference,
+    assert_loop_matches_reference,
+)
 
 SPEC = get_gpu("rtx4000")
 
@@ -68,6 +78,44 @@ def _assert_identical(spz, ref, label):
     if counters_to_doc(spz) != counters_to_doc(ref):
         detail = "\n".join(spz.diff(ref)) or "(doc-level difference)"
         pytest.fail(f"{label}: specialized diverged\n{detail}")
+
+
+# ----------------------------------------------------------------------
+# the hiccup switch: hiccups off leaves the loop's hiccup tables empty,
+# one kind only leaves one of them empty
+# ----------------------------------------------------------------------
+#: (bank conflict, dispatch hiccup) rates with hiccups off.
+NO_HICCUPS = (0.0, 0.0)
+
+
+@pytest.mark.parametrize("kernel", sorted(DIRECTED))
+@pytest.mark.parametrize("scheduler", ["gto", "lrr"])
+def test_directed_cases_match_reference(kernel, scheduler):
+    for gpu in GPUS:
+        assert_directed_matches_reference(gpu, kernel, scheduler,
+                                          NO_HICCUPS)
+
+
+@given(
+    program=small_programs(),
+    blocks=st.sampled_from([1, 5, 17]),
+    tpb=st.sampled_from([32, 96, 256]),
+    scheduler=st.sampled_from(["gto", "lrr"]),
+    seed=st.integers(0, 3),
+    gpu=st.sampled_from(GPUS),
+    rates=st.sampled_from([(0.3, 0.0), (0.0, 0.3), NO_HICCUPS]),
+)
+@settings(max_examples=25, deadline=None)
+def test_random_kernels_match_reference(program, blocks, tpb, scheduler,
+                                        seed, gpu, rates):
+    config = SimConfig(seed=seed, scheduler=scheduler,
+                       bank_conflict_rate=rates[0],
+                       dispatch_stall_rate=rates[1])
+    assert_loop_matches_reference(
+        get_gpu(gpu), program,
+        LaunchConfig(blocks=blocks, threads_per_block=tpb), config,
+        f"{gpu}/{program.name}/{scheduler}/{rates}",
+    )
 
 
 def test_shared_l2_serial_path_matches_reference():
